@@ -108,8 +108,8 @@ def dense_prefix_sparse_tail_run(
     """Taint/untaint churn prefix, then a long mostly-untainted tail.
 
     The prefix alternates fresh-range taints with overlapping untaints,
-    so every store is a content mutation — the dense executor's mutation
-    budget trips and the density bail-out engages.  The tail is the
+    so every store is a content mutation — the dense executor's cost
+    rule hands off and the density bail-out engages.  The tail is the
     sparse regime the kernel earns ~90x on; recovering it after the
     prefix is exactly what the bounded re-probe exists for.
     """

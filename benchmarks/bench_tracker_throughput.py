@@ -21,6 +21,14 @@ Runnable two ways:
   (:mod:`repro.perf`).  The gated metric divides tracker events/s by a
   plain-Python calibration loop's ops/s measured in the same process, so
   it is dimensionless and robust to CI machines of different speeds.
+
+The standalone run also measures the dispatcher against its own fallback
+in the same process: default (auto) dispatch versus forced scalar
+(``vectorized=False``) replays of the DroidBench suite at (13, 3) and of
+LGRoot at its five Figure 14-17 cells.  The sides alternate, the order
+flips every round, and each side keeps its best of N rounds.
+``auto_over_scalar`` is the worse of the two inputs' ratios; ``--gate``
+also fails when it exceeds :data:`AUTO_OVER_SCALAR_BOUND`.
 """
 
 import argparse
@@ -36,6 +44,20 @@ from repro.core.taint_storage import BoundedRangeCache, entry_capacity
 
 #: The history-record key this benchmark gates on.
 GATE_METRIC = "tracker_normalized"
+
+#: Same-run dispatcher gate: auto dispatch over forced scalar, worst input.
+DISPATCH_METRIC = "auto_over_scalar"
+
+#: ``--gate`` fails when ``auto_over_scalar`` exceeds this.  Twelve smoke
+#: runs (EXPERIMENTS.md, "Cost-aware dense dispatch") spread over
+#: 0.89-1.11; the bound leaves about one such spread above their median and
+#: stays far below the ~2.1 measured before the dense cost rule.
+AUTO_OVER_SCALAR_BOUND = 1.25
+
+#: Cells the dispatcher gate replays: DroidBench at the paper's default,
+#: LGRoot at the Figure 14-17 cells.
+DROIDBENCH_CELL = (13, 3)
+LGROOT_CELLS = ((1, 1), (5, 2), (13, 3), (17, 6), (20, 10))
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +205,64 @@ def measure_throughput(work: int = 160, rounds: int = 3) -> dict:
     }
 
 
+def measure_auto_over_scalar(work: int = 160, rounds: int = 5) -> dict:
+    """Default dispatch vs forced scalar, paired and interleaved.
+
+    Each round replays one input once per side, alternating which side
+    goes first; each side keeps its best round.  A DroidBench round takes
+    about 10 ms, so it runs six times as many rounds as LGRoot to get past
+    scheduler noise.  Both sides' verdicts and stats must agree (auto
+    dispatch is an execution strategy only).
+    """
+    from repro.analysis.replay import replay, replay_plan_for
+    from repro.apps.droidbench import record_suite
+    from repro.apps.malware import record_lgroot_trace
+
+    inputs = {
+        "droidbench": (
+            [app.recorded for app in record_suite()],
+            (DROIDBENCH_CELL,),
+            6 * rounds,
+        ),
+        "lgroot": ([record_lgroot_trace(work=work)], LGROOT_CELLS, rounds),
+    }
+    for runs, _, _ in inputs.values():
+        for recorded in runs:
+            replay_plan_for(recorded)
+            recorded.trace.columns().arrays()
+
+    def side(runs, cells, vectorized):
+        started = time.perf_counter()
+        results = [
+            replay(recorded, PIFTConfig(ni, nt, vectorized=vectorized))
+            for ni, nt in cells
+            for recorded in runs
+        ]
+        return time.perf_counter() - started, results
+
+    payload = {}
+    for name, (runs, cells, input_rounds) in inputs.items():
+        best = {True: float("inf"), False: float("inf")}
+        for round_index in range(input_rounds):
+            order = (True, False) if round_index % 2 else (False, True)
+            outputs = {}
+            for vectorized in order:
+                seconds, outputs[vectorized] = side(runs, cells, vectorized)
+                best[vectorized] = min(best[vectorized], seconds)
+            for auto, scalar in zip(outputs[True], outputs[False]):
+                assert auto.sink_outcomes == scalar.sink_outcomes
+                assert auto.stats.as_dict() == scalar.stats.as_dict()
+        payload[name] = {
+            "auto_seconds": best[True],
+            "scalar_seconds": best[False],
+            "auto_over_scalar": best[True] / best[False],
+        }
+    payload[DISPATCH_METRIC] = max(
+        payload[name]["auto_over_scalar"] for name in inputs
+    )
+    return payload
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="PIFT tracker-throughput benchmark (standalone mode)"
@@ -202,16 +282,27 @@ def main(argv=None) -> int:
                              "vs the history baseline (median)")
     args = parser.parse_args(argv)
 
+    work = 40 if args.smoke else 160
     payload = {
         "mode": "smoke" if args.smoke else "full",
-        "throughput": measure_throughput(work=40 if args.smoke else 160),
+        "throughput": measure_throughput(work=work),
+        "dispatch": measure_auto_over_scalar(work=work),
     }
     throughput = payload["throughput"]
+    dispatch = payload["dispatch"]
     print(
         f"tracker: {throughput['events_per_second']:,.0f} events/s over "
         f"{throughput['events']} events; calibration "
         f"{throughput['calibration_ops_per_second']:,.0f} ops/s; "
         f"normalized {throughput[GATE_METRIC]:.3f}",
+        file=sys.stderr,
+    )
+    print(
+        "dispatch: auto over forced scalar "
+        + ", ".join(
+            f"{name} {dispatch[name]['auto_over_scalar']:.3f}"
+            for name in ("droidbench", "lgroot")
+        ),
         file=sys.stderr,
     )
     print(json.dumps(payload, indent=2))
@@ -231,7 +322,19 @@ def main(argv=None) -> int:
             throughput["calibration_ops_per_second"]
         ),
         "events": throughput["events"],
+        DISPATCH_METRIC: dispatch[DISPATCH_METRIC],
+        "auto_over_scalar_droidbench": (
+            dispatch["droidbench"]["auto_over_scalar"]
+        ),
+        "auto_over_scalar_lgroot": dispatch["lgroot"]["auto_over_scalar"],
     })
+    dispatch_ok = dispatch[DISPATCH_METRIC] <= AUTO_OVER_SCALAR_BOUND
+    print(
+        f"dispatch gate: auto_over_scalar {dispatch[DISPATCH_METRIC]:.3f} "
+        f"vs bound {AUTO_OVER_SCALAR_BOUND:.2f} "
+        f"-> {'ok' if dispatch_ok else 'REGRESSED'}",
+        file=sys.stderr,
+    )
     if baseline is not None:
         print(
             f"regression gate: current {throughput[GATE_METRIC]:.3f} vs "
@@ -239,7 +342,7 @@ def main(argv=None) -> int:
             f"-> {'ok' if gate_ok else 'REGRESSED'}",
             file=sys.stderr,
         )
-    return 0 if (gate_ok or not args.gate) else 1
+    return 0 if ((gate_ok and dispatch_ok) or not args.gate) else 1
 
 
 if __name__ == "__main__":

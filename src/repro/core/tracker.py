@@ -154,6 +154,39 @@ class TrackerStats:
 
 
 @dataclass
+class KernelCounters:
+    """Which execution strategy handled how much of the column path.
+
+    Strategy observability, kept apart from :class:`TrackerStats` on
+    purpose: the stats are the semantic result and must compare equal
+    across strategies (parity suites, ``perfbench``), while these
+    counters differ by construction.  Every event that enters
+    :meth:`PIFTTracker.observe_columns` lands in exactly one of the
+    three event counters, so on the column path
+    ``skipped_events + dense_events + scalar_events`` equals the events
+    observed.  Per-event :meth:`PIFTTracker.observe` calls (including
+    the telemetry shadow) are not counted.
+    """
+
+    #: Events bulk-accounted as irrelevant by numpy classification.
+    skipped_events: int = 0
+    #: Events committed by the dense executor's vectorised simulation.
+    dense_events: int = 0
+    #: Events run through the exact scalar loop.
+    scalar_events: int = 0
+    #: Dense-executor spans entered (runs long enough to simulate).
+    dense_spans: int = 0
+    #: Spans the cost rule finished in the scalar loop.
+    cost_handoffs: int = 0
+    #: Bounded scalar chunks handed over by the density bail-out, after
+    #: which the kernel re-probes.
+    reprobe_handoffs: int = 0
+
+    def as_dict(self) -> dict:
+        return dict(vars(self))
+
+
+@dataclass
 class _WindowState:
     """Per-process Algorithm-1 state: LTLT and the propagation counter."""
 
@@ -240,9 +273,9 @@ class PIFTTracker:
     """
 
     #: Execution-strategy discriminator read by the vectorised kernel:
-    #: :class:`ColourTracker` flips it so the dense executor runs the
-    #: mask-carrying variant.  A class attribute, not config — colour
-    #: support changes the state representation, not the parameters.
+    #: :class:`ColourTracker` flips it so the dense executor carries
+    #: colour masks.  A class attribute, not config — colour support
+    #: changes the state representation, not the parameters.
     _coloured = False
 
     def __init__(
@@ -257,12 +290,10 @@ class PIFTTracker:
         self._states: Dict[int, TaintStateLike] = {}
         self._windows: Dict[int, _WindowState] = {}
         self.stats = TrackerStats()
-        #: Consecutive dense-executor mutation-budget bail-outs
-        #: (churn hysteresis, :mod:`repro.core.vectorized`).  Pure
-        #: execution-strategy state: it never affects semantics, only
-        #: which loop runs, and is cleared on reset/restore so a reused
-        #: tracker's routing does not depend on a previous run.
-        self._dense_churn_streak = 0
+        #: Per-strategy event counts (:class:`KernelCounters`): pure
+        #: execution-strategy state, cleared on reset/restore so a reused
+        #: tracker's counts do not depend on a previous run.
+        self.kernel = KernelCounters()
         self._record_timeline = record_timeline
         self._tel: Optional["Telemetry"] = None
         self._instruments: Optional[_TrackerInstruments] = None
@@ -301,7 +332,7 @@ class PIFTTracker:
         self._states.clear()
         self._windows.clear()
         self.stats = TrackerStats()
-        self._dense_churn_streak = 0
+        self.kernel = KernelCounters()
 
     # -- checkpoint / restore --------------------------------------------
 
@@ -363,10 +394,10 @@ class PIFTTracker:
                 telemetry_open=bool(payload["telemetry_open"]),
             )
         self.stats = TrackerStats.from_dict(snapshot["stats"])
-        # Churn hysteresis is execution-strategy state, deliberately
-        # absent from snapshots (like ``vectorized``); start it fresh so
-        # routing after a restore does not inherit the donor's history.
-        self._dense_churn_streak = 0
+        # Strategy counters are execution-strategy state, deliberately
+        # absent from snapshots (like ``vectorized``); start them fresh so
+        # counts after a restore do not inherit the donor's history.
+        self.kernel = KernelCounters()
 
     @property
     def instructions_per_pid(self) -> Dict[int, int]:
@@ -518,8 +549,12 @@ class PIFTTracker:
         One Python frame for the whole slice, locals for the config
         bounds and stats counters, and taint-state methods re-bound only
         on PID switches.  Mutation bookkeeping (high-water marks,
-        optional timeline) matches :meth:`_after_mutation` exactly.  The
-        vectorised kernel drops into this loop around relevant events.
+        optional timeline) matches :meth:`_after_mutation` exactly, in
+        O(1) per mutation: only the current PID's state changes inside
+        the loop, so the other PIDs' byte and range totals are summed
+        once per PID switch (lazily, at its first mutation) and the
+        current state's own counts are added on top.  The vectorised
+        kernel drops into this loop around relevant events.
         """
         if "observe" in self.__dict__:
             observe = self.observe
@@ -528,6 +563,7 @@ class PIFTTracker:
             return
         if stop is None:
             stop = len(columns)
+        self.kernel.scalar_events += stop - start
         window_size = self.config.window_size
         max_propagations = self.config.max_propagations
         untainting = self.config.untainting
@@ -551,6 +587,9 @@ class PIFTTracker:
         max_ranges = stats.max_range_count
         current_pid: Optional[int] = None
         window: _WindowState = None  # type: ignore[assignment]
+        # Tainted bytes / ranges held by every PID but the current one;
+        # None until the current PID's first mutation.
+        other_size = other_count = None
         overlaps = add = remove = None
         try:
             for i in range(start, stop):
@@ -565,6 +604,7 @@ class PIFTTracker:
                     add = state.add
                     remove = state.remove
                     current_pid = pid
+                    other_size = None
                 k = indices[i]
                 if k >= window.instructions_retired:
                     instructions += k + 1 - window.instructions_retired
@@ -592,8 +632,14 @@ class PIFTTracker:
                     untaints += 1
                 else:
                     continue
-                size = sum(s.total_size for s in state_values)
-                count = sum(s.range_count for s in state_values)
+                if other_size is None:
+                    other_size = other_count = 0
+                    for other in state_values:
+                        if other is not state:
+                            other_size += other.total_size
+                            other_count += other.range_count
+                size = other_size + state.total_size
+                count = other_count + state.range_count
                 if size > max_tainted:
                     max_tainted = size
                 if count > max_ranges:
@@ -854,8 +900,8 @@ class ColourTracker(PIFTTracker):
         self, columns: EventColumns, start: int = 0, stop: Optional[int] = None
     ) -> None:
         """Same three-way dispatch as the base tracker, but the kernel
-        gate requires the coloured state factory (the kernel selects its
-        mask-carrying dense variant via :attr:`_coloured`)."""
+        gate requires the coloured state factory (the dense executor
+        carries masks when :attr:`_coloured` is set)."""
         if "observe" in self.__dict__:
             observe = self.observe
             for event in columns.events[start:stop]:
@@ -885,6 +931,7 @@ class ColourTracker(PIFTTracker):
             return
         if stop is None:
             stop = len(columns)
+        self.kernel.scalar_events += stop - start
         window_size = self.config.window_size
         max_propagations = self.config.max_propagations
         untainting = self.config.untainting
@@ -908,6 +955,9 @@ class ColourTracker(PIFTTracker):
         max_ranges = stats.max_range_count
         current_pid: Optional[int] = None
         window: _WindowState = None  # type: ignore[assignment]
+        # Tainted bytes / ranges held by every PID but the current one;
+        # None until the current PID's first mutation.
+        other_size = other_count = None
         mask_overlapping = overlaps = add = remove = None
         try:
             for i in range(start, stop):
@@ -923,6 +973,7 @@ class ColourTracker(PIFTTracker):
                     add = state.add
                     remove = state.remove
                     current_pid = pid
+                    other_size = None
                 k = indices[i]
                 if k >= window.instructions_retired:
                     instructions += k + 1 - window.instructions_retired
@@ -952,8 +1003,14 @@ class ColourTracker(PIFTTracker):
                     untaints += 1
                 else:
                     continue
-                size = sum(s.total_size for s in state_values)
-                count = sum(s.range_count for s in state_values)
+                if other_size is None:
+                    other_size = other_count = 0
+                    for other in state_values:
+                        if other is not state:
+                            other_size += other.total_size
+                            other_count += other.range_count
+                size = other_size + state.total_size
+                count = other_count + state.range_count
                 if size > max_tainted:
                     max_tainted = size
                 if count > max_ranges:

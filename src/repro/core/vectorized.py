@@ -91,23 +91,13 @@ REPROBE_EVERY = 4096
 #: vectorised window evolution and bulk range-set commits).
 DENSE_SPAN = 4096
 
-#: Runs shorter than this skip the dense executor — numpy setup on a
-#: handful of events costs more than the scalar loop.
-DENSE_MIN = 32
-
-#: Content mutations tolerated per dense span before the rest of the
-#: span is handed to the scalar loop; every mutation forces a mask
-#: patch plus a window re-simulation, so mutation-heavy spans are
-#: cheaper scalar.
-DENSE_MAX_MUTATIONS = 24
-
-#: Consecutive mutation-budget bail-outs tolerated before the coloured
-#: dense path stops re-probing: mask churn (stores that OR new colour
-#: bits into covered ranges) makes every span mutation-heavy, so paying
-#: full-span classification just to hand off is a pure loss.  After the
-#: streak trips, whole :data:`REPROBE_EVERY` chunks go straight to the
-#: scalar loop, then the dense path probes again.
-DENSE_CHURN_STREAK = 2
+#: The cost of one dense-executor window simulation (with the mutation
+#: run and mask patch that follow it), priced in scalar-loop events.
+#: Measured, not tuned: see DESIGN.md, "Dense executor", step 5.  The
+#: cost rule (:func:`_finish_scalar`) compares simulations still owed
+#: against the scalar cost of the events they would save, and a same-PID
+#: run shorter than one simulation's price never enters the executor.
+RESIM_COST = 128
 
 #: One-shot flag for the numpy-absence fallback warning.
 _numpy_fallback_warned = False
@@ -243,21 +233,240 @@ def _skip_run(tracker: "PIFTTracker", arrays: "ColumnArrays", lo: int, hi: int) 
 
 
 def _overlap_masks(state, query_start, query_end):
-    """Exact (hit, contained) masks for query ranges against ``state``.
+    """Exact ``(hit, contained, c)`` for query ranges against ``state``.
 
     ``hit`` is the paper's overlap test; ``contained`` is full coverage
     by a single stored range (a contained taint-add changes no content,
-    so the dense executor can commit it as pure counter updates).
+    so the dense executor can commit it as pure counter updates).  One
+    ``searchsorted`` serves both: ``c`` is the last stored range starting
+    at or before each query's end, and since stored ranges are disjoint,
+    a range covering the whole query can only be that one.
     """
     starts, ends = state.as_arrays()
     if not starts.size:
         zeros = _np.zeros(len(query_start), dtype=bool)
-        return zeros, zeros.copy()
-    c_end = _np.searchsorted(starts, query_end, side="right") - 1
-    hit = (c_end >= 0) & (ends[_np.maximum(c_end, 0)] >= query_start)
-    c_start = _np.searchsorted(starts, query_start, side="right") - 1
-    contained = (c_start >= 0) & (ends[_np.maximum(c_start, 0)] >= query_end)
-    return hit, contained
+        return zeros, zeros.copy(), None
+    c = _np.searchsorted(starts, query_end, side="right") - 1
+    valid = c >= 0
+    c = _np.maximum(c, 0)
+    c_ends = ends[c]
+    hit = valid & (c_ends >= query_start)
+    contained = hit & (c_ends >= query_end) & (starts[c] <= query_start)
+    return hit, contained, c
+
+
+def _finish_scalar(cuts_left: int, remaining: int, sims: int, n: int) -> bool:
+    """The dense executor's cost rule: should the rest of the span go to
+    the scalar loop?
+
+    ``cuts_left`` content mutations remain in the span under the current
+    masks, each costing at least one more simulation (:data:`RESIM_COST`
+    scalar events apiece), and ``remaining`` events remain after the
+    next cut.  Finish scalar when the projected simulations cost more
+    than the events they would save; and, as a backstop against mask
+    patches that keep uncovering new mutations, once the ``sims``
+    already run cost as much as the whole ``n``-event span in the
+    scalar loop — so a span never pays more than about twice its
+    scalar cost.
+    """
+    return cuts_left * RESIM_COST > remaining or sims * RESIM_COST > n
+
+
+def _simulate(K, L, hit, p, last, props, config):
+    """Algorithm 1's window evolution over ``[p, n)`` under fixed masks.
+
+    Tainted-load positions segment the run; each store's governing
+    window opens at the last hit load before it (or at the carried-in
+    ``last``), both window edges apply, and a per-segment rank against
+    the NT cap (seeded with the carried-in ``props`` for the head
+    segment) decides taint.  Returns ``(hl, seg, taint, untaint)``:
+    absolute hit-load positions, each event's governing hit-load ordinal
+    (-1 before the first), and the taint and untaint-candidate masks
+    relative to ``p``.
+    """
+    ni = config.window_size
+    nt = config.max_propagations
+    hlm = L[p:] & hit[p:]
+    hl = _np.flatnonzero(hlm) + p
+    seg = _np.cumsum(hlm) - 1
+    kk = K[p:]
+    stores = ~L[p:]
+    if hl.size:
+        in_seg = seg >= 0
+        clamped = _np.maximum(seg, 0)
+        gov = K[hl[clamped]]
+        if last is not None:
+            gov = _np.where(in_seg, gov, last)
+            in_win = stores & (kk >= gov) & (kk <= gov + ni)
+        else:
+            in_win = stores & in_seg & (kk >= gov) & (kk <= gov + ni)
+        ranks = _np.cumsum(in_win)
+        base = _np.where(in_seg, ranks[hl - p][clamped], 0)
+        cap = _np.where(in_seg, nt, nt - props)
+        taint = in_win & (ranks - 1 - base < cap)
+    elif last is not None:
+        in_win = stores & (kk >= last) & (kk <= last + ni)
+        taint = in_win & (_np.cumsum(in_win) <= nt - props)
+    else:
+        taint = _np.zeros(len(kk), dtype=bool)
+    untaint = stores & ~taint & hit[p:] if config.untainting else None
+    return hl, seg, taint, untaint
+
+
+def _commit_prefix(stats, window, K, L, hl, seg, taint, p, cut, last, props):
+    """Bulk-commit the mutation-free prefix ``[p, cut)`` of a simulation.
+
+    Counters via ``count_nonzero``, the PID's instruction high-water mark
+    via a max (the per-event updates telescope), and the window state at
+    the cut.  Returns ``(last, props, last_load)``, ``last_load`` being
+    the position of the prefix's last hit load or ``None``.
+    """
+    sl = slice(p, cut)
+    load_count = int(_np.count_nonzero(L[sl]))
+    stats.loads_observed += load_count
+    stats.stores_observed += (cut - p) - load_count
+    loads_hit = int(seg[cut - p - 1]) + 1
+    stats.tainted_loads += loads_hit
+    taint_count = int(_np.count_nonzero(taint[: cut - p]))
+    stats.taint_operations += taint_count
+    top = int(K[sl].max())
+    if top >= window.instructions_retired:
+        stats.instructions_observed += top + 1 - window.instructions_retired
+        window.instructions_retired = top + 1
+    if loads_hit:
+        last_load = int(hl[loads_hit - 1])
+        last = int(K[last_load])
+        props = int(_np.count_nonzero(taint[last_load + 1 - p : cut - p]))
+        return last, props, last_load
+    if last is not None:
+        props += taint_count
+    return last, props, None
+
+
+def _untaint_run(stats, state, S, E, L, hit, taint, p, cut, other_size, other_count):
+    """Execute the maximal run of consecutive non-taint stores at ``cut``.
+
+    Untaint candidates resolve sequentially inside ``remove_many`` (an
+    earlier untaint can void a later candidate), reported per step
+    because a split *raises* the range count.  Untaints are colour-blind
+    (an overwrite destroys all taint), so plain and coloured states take
+    the same path.
+    Returns ``(j, extent)``: the run's end and the mutated address hull,
+    or ``None`` when no candidate was effective.
+    """
+    n = len(L)
+    stop_rel = _np.flatnonzero(L[cut:] | taint[cut - p :])
+    j = cut + (int(stop_rel[0]) if stop_rel.size else n - cut)
+    cand = _np.flatnonzero(hit[cut:j]) + cut
+    steps = state.remove_many([(int(S[i]), int(E[i])) for i in cand])
+    effective = [
+        (i, total_after, count_after)
+        for (i, (ok, total_after, count_after)) in zip(cand, steps)
+        if ok
+    ]
+    for _, total_after, count_after in effective:
+        stats.untaint_operations += 1
+        size = other_size + total_after
+        count = other_count + count_after
+        if size > stats.max_tainted_bytes:
+            stats.max_tainted_bytes = size
+        if count > stats.max_range_count:
+            stats.max_range_count = count
+    stats.stores_observed += j - cut
+    if not effective:
+        return j, None
+    return j, (
+        int(min(S[i] for i, _, _ in effective)),
+        int(max(E[i] for i, _, _ in effective)),
+    )
+
+
+def _suspects(S, E, j, extent):
+    """Events after ``j`` overlapping the mutated ``extent``: the only
+    ones whose coverage masks a mutation can have changed."""
+    extent_lo, extent_hi = extent
+    return _np.flatnonzero((S[j:] <= extent_hi) & (E[j:] >= extent_lo)) + j
+
+
+def _colour_masks(state, query_start, query_end, query_load):
+    """``(hit, contained, omask, cover_mask)`` for query ranges against a
+    :class:`~repro.core.colours.ColourRangeSet`.
+
+    ``hit``/``contained`` match :func:`_overlap_masks`; ``omask`` is the
+    OR of every overlapped range's colour mask (the window mask a tainted
+    load would carry), ``cover_mask`` the covering range's mask for
+    contained queries (the superset test for absorbed taint-adds).  Only
+    a hit *load*'s ``omask`` is ever read, so it is computed for those
+    queries alone and left 0 elsewhere.  Queries overlapping a single
+    stored range — the overwhelming case, since coloured intervals are
+    coalesced per colour — resolve in one gather; multi-range stragglers
+    take a few extra vector passes.
+    """
+    hit, contained, last = _overlap_masks(state, query_start, query_end)
+    omask = _np.zeros(len(query_start), dtype=_np.uint64)
+    if last is None:
+        return hit, contained, omask, omask.copy()
+    rmasks = state.mask_array()
+    loads = _np.flatnonzero(hit & query_load)
+    if loads.size:
+        _, ends = state.as_arrays()
+        # A hit query overlaps stored ranges first..last (inclusive).
+        first = _np.searchsorted(ends, query_start[loads], side="left")
+        depth = last[loads] - first
+        load_masks = rmasks[first]
+        top = int(depth.max())
+        # OR the remaining overlapped ranges' masks in, sweeping by
+        # overlap *depth*: iteration d ORs the (first+d)-th overlapped
+        # range of every query still deep enough.  Depth is bounded by
+        # the fattest query (accesses are a few bytes wide), so this
+        # runs a handful of vector passes, not a loop per query.
+        for d in range(1, top + 1):
+            live = depth >= d
+            load_masks[live] |= rmasks[first[live] + d]
+        omask[loads] = load_masks
+    # A contained query's covering range is ``last`` (see _overlap_masks).
+    cover_mask = _np.where(contained, rmasks[last], _np.uint64(0))
+    return hit, contained, omask, cover_mask
+
+
+def _add_run(stats, state, pairs, gmask, other_size, other_count):
+    """Commit a run of taint-adds (with colour ``gmask``, or ``None`` on a
+    plain state) with per-mutation high-water bookkeeping; returns the
+    merged extent the mask patch must cover."""
+    if gmask is not None:
+        # A coloured add spanning k gapped differently-masked ranges can
+        # raise the range count by k+1 — no static per-add budget proves
+        # the bulk run sets no new high-water mark.  add_many_steps
+        # reports (total, count) after every add, so the non-monotone
+        # maxima fold exactly as the scalar loop's bookkeeping.
+        extent, steps = state.add_many_steps(pairs, gmask)
+    elif other_count + state.range_count + len(pairs) <= stats.max_range_count:
+        # No intermediate step can set a new range-count high-water mark
+        # (a plain add raises the count by at most one) and tainted bytes
+        # only grow, so the final totals reproduce per-step bookkeeping.
+        extent = state.add_many(pairs)
+        steps = ((state.total_size, state.range_count),)
+    else:
+        steps = []
+        for pair_start, pair_end in pairs:
+            state.add(AddressRange(pair_start, pair_end))
+            steps.append((state.total_size, state.range_count))
+        starts, ends = state.as_arrays()
+        hull_lo = min(s for s, _ in pairs)
+        hull_hi = max(e for _, e in pairs)
+        i0 = int(_np.searchsorted(ends, hull_lo, side="left"))
+        i1 = int(_np.searchsorted(starts, hull_hi, side="right")) - 1
+        extent = (int(starts[i0]), int(ends[i1]))
+    max_bytes = stats.max_tainted_bytes
+    max_ranges = stats.max_range_count
+    for total_after, count_after in steps:
+        if other_size + total_after > max_bytes:
+            max_bytes = other_size + total_after
+        if other_count + count_after > max_ranges:
+            max_ranges = other_count + count_after
+    stats.max_tainted_bytes = max_bytes
+    stats.max_range_count = max_ranges
+    return extent
 
 
 def _dense_span(
@@ -275,8 +484,10 @@ def _dense_span(
     everything up to the first *content* mutation (taint of uncovered
     bytes, or an effective untaint), process the mutation run through the
     bulk range-set primitives, patch the masks from the merged extent,
-    and continue.  Returns ``(consumed, scalar_events)`` so the caller's
-    density accounting can tell vector-handled events from scalar ones.
+    and continue — until the cost rule (:func:`_finish_scalar`) says the
+    scalar loop is cheaper for the rest of the run.  Returns
+    ``(consumed, scalar_events)`` so the caller's density accounting can
+    tell vector-handled events from scalar ones.
 
     Soundness (checked bit-for-bit by the parity suite): taint decisions
     depend only on window evolution — hit-load positions, the two window
@@ -290,484 +501,148 @@ def _dense_span(
     covering range), so they commit as counter updates; per-mutation
     ``max_range_count`` bookkeeping is reproduced either by the
     can't-exceed-the-high-water guard or by per-step fallback.
+
+    For the coloured tracker (:class:`~repro.core.tracker.ColourTracker`)
+    the same executor carries colour: each governing hit load's overlap
+    mask becomes the window mask, a consecutive taint run (which contains
+    no loads, hence has one governing window) commits with that single
+    mask, and a contained taint-add only counts as content-free when its
+    covering range's mask is a *superset* of the window mask — otherwise
+    the add would OR new colour bits in, which is a content mutation the
+    mask patch must see.  Untaints stay colour-blind (an overwrite
+    destroys all taint).
     """
     run_hi = arrays.same_pid_run(lo, min(lo + DENSE_SPAN, limit))
     n = run_hi - lo
-    if n < DENSE_MIN:
+    if n < RESIM_COST:
+        # Shorter than one simulation's price: the scalar loop is cheaper
+        # even if the run holds no content mutation at all.
         consumed = min(SCALAR_RUN, limit - lo)
         tracker.observe_columns_scalar(columns, lo, lo + consumed)
         return consumed, consumed
+    coloured = tracker._coloured
     pid = int(arrays.pids[lo])
     if pid not in tracker._windows:
         tracker.state(pid)
     state = tracker._states[pid]
     window = tracker._windows[pid]
     config = tracker.config
-    ni = config.window_size
-    nt = config.max_propagations
-    untainting = config.untainting
     stats = tracker.stats
+    tracker.kernel.dense_spans += 1
+    # Other PIDs' states do not change inside a same-PID span.
+    other_size = tracker.tainted_bytes - state.total_size
+    other_count = tracker.range_count - state.range_count
 
     K = arrays.indices[lo:run_hi]
     S = arrays.starts[lo:run_hi]
     E = arrays.ends[lo:run_hi]
     L = arrays.is_load[lo:run_hi]
-    stores_m = ~L
-
-    if len(state):
-        hit, contained = _overlap_masks(state, S, E)
-    else:
-        hit = _np.zeros(n, dtype=bool)
-        contained = hit.copy()
+    hit, contained, _ = _overlap_masks(state, S, E)
+    # Colour arrays ``(omask, cover_mask)`` of a coloured span, built
+    # against the current state on first need and patched from then on:
+    # a span the cost rule hands off at its first cut never needs them.
+    colours = None
 
     last = window.last_tainted_load
     props = window.propagations
+    wmask = window.colour_mask
     p = 0
-    mutations = 0
-    scalar_events = 0
+    sims = 0
     while p < n:
-        # -- simulate window evolution under the current masks ----------
-        hl = _np.flatnonzero(L[p:] & hit[p:]) + p
-        seg = _np.searchsorted(hl, _np.arange(p, n), side="right") - 1
-        in_seg = seg >= 0
-        if hl.size:
-            gov = K[hl[_np.maximum(seg, 0)]]
-        else:
-            gov = _np.zeros(n - p, dtype=_np.int64)
-        kk = K[p:]
-        if last is not None:
-            gov = _np.where(in_seg, gov, last)
-            windowed = _np.ones(n - p, dtype=bool)
-        else:
-            windowed = in_seg
-        in_win = stores_m[p:] & windowed & (kk >= gov) & (kk <= gov + ni)
-        ranks = _np.cumsum(in_win)
-        if hl.size:
-            base = _np.where(in_seg, ranks[hl - p][_np.maximum(seg, 0)], 0)
-        else:
-            base = 0
-        cap = _np.where(in_seg, nt, nt - props)
-        taint = in_win & (ranks - 1 - base < cap)
-        if untainting:
-            untaint_cand = stores_m[p:] & ~taint & hit[p:]
-        else:
-            untaint_cand = _np.zeros(n - p, dtype=bool)
-        content_mut = (taint & ~contained[p:]) | untaint_cand
+        sims += 1
+        hl, seg, taint, untaint = _simulate(K, L, hit, p, last, props, config)
+        absorbed = taint & contained[p:]
+        if coloured and absorbed.any():
+            # A contained taint-add is content-free only when its
+            # covering range's mask holds every bit of the governing
+            # window mask: its hit load's overlap mask, or the carried-in
+            # window's before the first hit load.
+            if colours is None:
+                colours = _colour_masks(state, S, E, L)[2:]
+            omask, cover_mask = colours
+            if hl.size:
+                gmasks = omask[hl[_np.maximum(seg, 0)]]
+                if last is not None:
+                    gmasks = _np.where(seg >= 0, gmasks, _np.uint64(wmask))
+            else:
+                gmasks = _np.full(n - p, wmask, dtype=_np.uint64)
+            absorbed &= (cover_mask[p:] & gmasks) == gmasks
+        content_mut = taint & ~absorbed
+        if untaint is not None:
+            content_mut |= untaint
         cuts = _np.flatnonzero(content_mut)
         cut = (int(cuts[0]) + p) if cuts.size else n
-
-        # -- bulk-commit the mutation-free prefix [p, cut) --------------
         if cut > p:
-            sl = slice(p, cut)
-            load_count = int(_np.count_nonzero(L[sl]))
-            stats.loads_observed += load_count
-            stats.stores_observed += (cut - p) - load_count
-            stats.tainted_loads += int(_np.count_nonzero(L[sl] & hit[sl]))
-            taint_count = int(_np.count_nonzero(taint[: cut - p]))
-            stats.taint_operations += taint_count
-            top = int(K[sl].max())
-            if top >= window.instructions_retired:
-                stats.instructions_observed += (
-                    top + 1 - window.instructions_retired
+            last, props, last_load = _commit_prefix(
+                stats, window, K, L, hl, seg, taint, p, cut, last, props
+            )
+            if coloured and last_load is not None:
+                # The prefix is mutation-free, so the state still holds
+                # what the window-opening load saw.
+                wmask = (
+                    int(colours[0][last_load]) if colours is not None
+                    else state.mask_overlapping(
+                        AddressRange(int(S[last_load]), int(E[last_load]))
+                    )
                 )
-                window.instructions_retired = top + 1
-            hl_before = hl[hl < cut]
-            if hl_before.size:
-                last_load = int(hl_before[-1])
-                last = int(K[last_load])
-                props = int(
-                    _np.count_nonzero(taint[last_load + 1 - p : cut - p])
-                )
-            elif last is not None:
-                props += taint_count
         if cut >= n:
             break
 
         # -- a content mutation: execute its run via bulk primitives ----
-        mutations += 1
-        if mutations > DENSE_MAX_MUTATIONS:
-            # Mutation-heavy span — each mutation costs a mask patch and
-            # a re-simulation, so the scalar loop is cheaper from here.
+        if _finish_scalar(cuts.size, n - cut, sims, n):
             window.last_tainted_load = last
             window.propagations = props
+            window.colour_mask = wmask
+            tracker.kernel.cost_handoffs += 1
+            tracker.kernel.dense_events += cut
             tracker.observe_columns_scalar(columns, lo + cut, run_hi)
-            return n, scalar_events + (n - cut)
-        other_size = tracker.tainted_bytes - state.total_size
-        other_count = tracker.range_count - state.range_count
+            return n, n - cut
         if taint[cut - p]:
             # Maximal run of consecutive taint-decision stores: decisions
             # are content-independent, so the whole run is committed with
             # one sorted-merge bulk add.
-            rest = taint[cut - p :]
-            stop_rel = _np.flatnonzero(~rest)
+            stop_rel = _np.flatnonzero(~taint[cut - p :])
             j = cut + (int(stop_rel[0]) if stop_rel.size else n - cut)
-            pairs = list(
-                zip(S[cut:j].tolist(), E[cut:j].tolist())
+            pairs = list(zip(S[cut:j].tolist(), E[cut:j].tolist()))
+            # A taint run holds no loads, so the window mask at the cut
+            # (``wmask``, just committed) colours the whole run.
+            extent = _add_run(
+                stats, state, pairs, wmask if coloured else None,
+                other_size, other_count,
             )
-            count_before = other_count + state.range_count
-            if count_before + len(pairs) <= stats.max_range_count:
-                # No intermediate step can set a new range-count
-                # high-water mark (each add raises the count by at most
-                # one) and tainted bytes only grow, so committing the
-                # final totals reproduces per-step bookkeeping exactly.
-                extent = state.add_many(pairs)
-                size = other_size + state.total_size
-                if size > stats.max_tainted_bytes:
-                    stats.max_tainted_bytes = size
-            else:
-                add = state.add
-                max_bytes = stats.max_tainted_bytes
-                max_ranges = stats.max_range_count
-                for pair_start, pair_end in pairs:
-                    add(AddressRange(pair_start, pair_end))
-                    size = other_size + state.total_size
-                    count = other_count + state.range_count
-                    if size > max_bytes:
-                        max_bytes = size
-                    if count > max_ranges:
-                        max_ranges = count
-                stats.max_tainted_bytes = max_bytes
-                stats.max_range_count = max_ranges
-                starts2, ends2 = state.as_arrays()
-                hull_lo = int(min(s for s, _ in pairs))
-                hull_hi = int(max(e for _, e in pairs))
-                i0 = int(_np.searchsorted(ends2, hull_lo, side="left"))
-                i1 = int(
-                    _np.searchsorted(starts2, hull_hi, side="right")
-                ) - 1
-                extent = (int(starts2[i0]), int(ends2[i1]))
             stats.stores_observed += j - cut
             stats.taint_operations += j - cut
             props += j - cut
         else:
-            # Maximal run of consecutive non-taint stores: untaint
-            # candidates resolve sequentially inside remove_many (an
-            # earlier untaint can void a later candidate), reported
-            # per-step because a split *raises* the range count.
-            rest = L[cut:] | taint[cut - p :]
-            stop_rel = _np.flatnonzero(rest)
-            j = cut + (int(stop_rel[0]) if stop_rel.size else n - cut)
-            cand = _np.flatnonzero(hit[cut:j]) + cut
-            steps = state.remove_many(
-                [(int(S[i]), int(E[i])) for i in cand]
+            j, extent = _untaint_run(
+                stats, state, S, E, L, hit, taint, p, cut,
+                other_size, other_count,
             )
-            effective = [
-                (i, total_after, count_after)
-                for (i, (ok, total_after, count_after)) in zip(cand, steps)
-                if ok
-            ]
-            for _, total_after, count_after in effective:
-                stats.untaint_operations += 1
-                size = other_size + total_after
-                count = other_count + count_after
-                if size > stats.max_tainted_bytes:
-                    stats.max_tainted_bytes = size
-                if count > stats.max_range_count:
-                    stats.max_range_count = count
-            stats.stores_observed += j - cut
-            if effective:
-                extent = (
-                    int(min(S[i] for i, _, _ in effective)),
-                    int(max(E[i] for i, _, _ in effective)),
-                )
-            else:
-                extent = None
         top = int(K[cut:j].max())
         if top >= window.instructions_retired:
             stats.instructions_observed += top + 1 - window.instructions_retired
             window.instructions_retired = top + 1
 
         # -- patch the masks: only events overlapping the mutated extent
-        #    can have changed coverage -------------------------------------
+        #    can have changed coverage (or colours) ------------------------
         if extent is not None and j < n:
-            extent_lo, extent_hi = extent
-            suspects = _np.flatnonzero(
-                (S[j:] <= extent_hi) & (E[j:] >= extent_lo)
-            ) + j
+            suspects = _suspects(S, E, j, extent)
             if suspects.size:
-                new_hit, new_contained = _overlap_masks(
-                    state, S[suspects], E[suspects]
-                )
-                hit[suspects] = new_hit
-                contained[suspects] = new_contained
-        p = j
-    window.last_tainted_load = last
-    window.propagations = props
-    return n, scalar_events
-
-
-def _colour_masks(state, query_start, query_end):
-    """``(hit, contained, omask, cover_mask)`` for query ranges against a
-    :class:`~repro.core.colours.ColourRangeSet`.
-
-    ``hit``/``contained`` match :func:`_overlap_masks`; ``omask`` is the
-    OR of every overlapped range's colour mask (the window mask a tainted
-    load would carry), ``cover_mask`` the covering range's mask for
-    contained queries (the superset test for absorbed taint-adds).
-    Queries overlapping a single stored range — the overwhelming case,
-    since coloured intervals are coalesced per colour — resolve fully
-    vectorised; the rare multi-range stragglers take a short exact loop.
-    """
-    starts, ends = state.as_arrays()
-    nq = len(query_start)
-    if not starts.size:
-        zeros = _np.zeros(nq, dtype=bool)
-        zmask = _np.zeros(nq, dtype=_np.uint64)
-        return zeros, zeros.copy(), zmask, zmask.copy()
-    rmasks = state.mask_array()
-    c_end = _np.searchsorted(starts, query_end, side="right") - 1
-    hit = (c_end >= 0) & (ends[_np.maximum(c_end, 0)] >= query_start)
-    c_start = _np.searchsorted(starts, query_start, side="right") - 1
-    contained = (c_start >= 0) & (ends[_np.maximum(c_start, 0)] >= query_end)
-    first = _np.searchsorted(ends, query_start, side="left")
-    last = _np.maximum(c_end, 0)
-    omask = _np.where(
-        hit, rmasks[_np.minimum(first, len(starts) - 1)], _np.uint64(0)
-    )
-    multi = hit & (last > first)
-    if _np.any(multi):
-        # OR the remaining overlapped ranges' masks in, sweeping by
-        # overlap *depth*: iteration d ORs the (first+d)-th overlapped
-        # range of every query still deep enough.  Depth is bounded by
-        # the fattest query (stores are a few bytes wide), so this runs
-        # a handful of vector passes instead of a python loop per query.
-        depth = last - first
-        top = int(depth[multi].max())
-        limit = len(starts) - 1
-        for d in range(1, top + 1):
-            live = multi & (depth >= d)
-            if not _np.any(live):
-                break
-            idx = _np.minimum(first + d, limit)
-            omask[live] |= rmasks[idx[live]]
-    cover_mask = _np.where(
-        contained, rmasks[_np.maximum(c_start, 0)], _np.uint64(0)
-    )
-    return hit, contained, omask, cover_mask
-
-
-def _dense_span_coloured(
-    tracker: "PIFTTracker",
-    columns: "EventColumns",
-    arrays: "ColumnArrays",
-    lo: int,
-    limit: int,
-):
-    """Mask-carrying variant of :func:`_dense_span` for the coloured
-    tracker (:class:`~repro.core.tracker.ColourTracker`).
-
-    Identical window simulation — taint/untaint *classification* never
-    consults masks, only coverage, so ``hit``/``contained``/the window
-    evolution are computed exactly as in the plain executor.  On top of
-    that it carries colour: each governing hit load's overlap mask
-    becomes the window mask, a consecutive taint run (which contains no
-    loads, hence has one governing window) commits with that single mask,
-    and a contained taint-add only counts as content-free when its
-    covering range's mask is a *superset* of the window mask — otherwise
-    the add would OR new colour bits in, which is a content mutation the
-    mask patch must see.  Untaints stay colour-blind (an overwrite
-    destroys all taint), so the bulk remove path is unchanged.
-    """
-    streak = getattr(tracker, "_dense_churn_streak", 0)
-    if streak >= DENSE_CHURN_STREAK:
-        # Churn hysteresis: recent spans all tripped the mutation budget,
-        # so classification would be thrown away again — scalar a whole
-        # chunk, then probe dense once more.
-        tracker._dense_churn_streak = 0
-        consumed = min(REPROBE_EVERY, limit - lo)
-        tracker.observe_columns_scalar(columns, lo, lo + consumed)
-        return consumed, consumed
-    run_hi = arrays.same_pid_run(lo, min(lo + DENSE_SPAN, limit))
-    n = run_hi - lo
-    if n < DENSE_MIN:
-        consumed = min(SCALAR_RUN, limit - lo)
-        tracker.observe_columns_scalar(columns, lo, lo + consumed)
-        return consumed, consumed
-    pid = int(arrays.pids[lo])
-    if pid not in tracker._windows:
-        tracker.state(pid)
-    state = tracker._states[pid]
-    window = tracker._windows[pid]
-    config = tracker.config
-    ni = config.window_size
-    nt = config.max_propagations
-    untainting = config.untainting
-    stats = tracker.stats
-
-    K = arrays.indices[lo:run_hi]
-    S = arrays.starts[lo:run_hi]
-    E = arrays.ends[lo:run_hi]
-    L = arrays.is_load[lo:run_hi]
-    stores_m = ~L
-
-    hit, contained, omask, cover_mask = _colour_masks(state, S, E)
-
-    last = window.last_tainted_load
-    props = window.propagations
-    wmask = window.colour_mask
-    p = 0
-    mutations = 0
-    scalar_events = 0
-    while p < n:
-        # -- simulate window evolution under the current masks ----------
-        hl = _np.flatnonzero(L[p:] & hit[p:]) + p
-        seg = _np.searchsorted(hl, _np.arange(p, n), side="right") - 1
-        in_seg = seg >= 0
-        if hl.size:
-            gov = K[hl[_np.maximum(seg, 0)]]
-            gmasks = omask[hl[_np.maximum(seg, 0)]]
-        else:
-            gov = _np.zeros(n - p, dtype=_np.int64)
-            gmasks = _np.zeros(n - p, dtype=_np.uint64)
-        kk = K[p:]
-        if last is not None:
-            gov = _np.where(in_seg, gov, last)
-            gmasks = _np.where(in_seg, gmasks, _np.uint64(wmask))
-            windowed = _np.ones(n - p, dtype=bool)
-        else:
-            windowed = in_seg
-        in_win = stores_m[p:] & windowed & (kk >= gov) & (kk <= gov + ni)
-        ranks = _np.cumsum(in_win)
-        if hl.size:
-            base = _np.where(in_seg, ranks[hl - p][_np.maximum(seg, 0)], 0)
-        else:
-            base = 0
-        cap = _np.where(in_seg, nt, nt - props)
-        taint = in_win & (ranks - 1 - base < cap)
-        if untainting:
-            untaint_cand = stores_m[p:] & ~taint & hit[p:]
-        else:
-            untaint_cand = _np.zeros(n - p, dtype=bool)
-        absorbed = contained[p:] & ((cover_mask[p:] & gmasks) == gmasks)
-        content_mut = (taint & ~absorbed) | untaint_cand
-        cuts = _np.flatnonzero(content_mut)
-        cut = (int(cuts[0]) + p) if cuts.size else n
-
-        # -- bulk-commit the mutation-free prefix [p, cut) --------------
-        if cut > p:
-            sl = slice(p, cut)
-            load_count = int(_np.count_nonzero(L[sl]))
-            stats.loads_observed += load_count
-            stats.stores_observed += (cut - p) - load_count
-            stats.tainted_loads += int(_np.count_nonzero(L[sl] & hit[sl]))
-            taint_count = int(_np.count_nonzero(taint[: cut - p]))
-            stats.taint_operations += taint_count
-            top = int(K[sl].max())
-            if top >= window.instructions_retired:
-                stats.instructions_observed += (
-                    top + 1 - window.instructions_retired
-                )
-                window.instructions_retired = top + 1
-            hl_before = hl[hl < cut]
-            if hl_before.size:
-                last_load = int(hl_before[-1])
-                last = int(K[last_load])
-                props = int(
-                    _np.count_nonzero(taint[last_load + 1 - p : cut - p])
-                )
-                wmask = int(omask[last_load])
-            elif last is not None:
-                props += taint_count
-        if cut >= n:
-            break
-
-        # -- a content mutation: execute its run via bulk primitives ----
-        mutations += 1
-        if mutations > DENSE_MAX_MUTATIONS:
-            window.last_tainted_load = last
-            window.propagations = props
-            window.colour_mask = wmask
-            tracker._dense_churn_streak = streak + 1
-            tracker.observe_columns_scalar(columns, lo + cut, run_hi)
-            return n, scalar_events + (n - cut)
-        other_size = tracker.tainted_bytes - state.total_size
-        other_count = tracker.range_count - state.range_count
-        if taint[cut - p]:
-            # A consecutive taint run contains no loads, so one governing
-            # window — and one colour mask — covers the whole run.
-            gmask = int(gmasks[cut - p])
-            rest = taint[cut - p :]
-            stop_rel = _np.flatnonzero(~rest)
-            j = cut + (int(stop_rel[0]) if stop_rel.size else n - cut)
-            pairs = list(
-                zip(S[cut:j].tolist(), E[cut:j].tolist())
-            )
-            # A coloured add spanning k gapped differently-masked ranges
-            # can raise the range count by k+1 — no static per-add budget
-            # proves the bulk run sets no new high-water mark (unlike the
-            # plain path above, where each add raises the count by at most
-            # one).  add_many_steps reports (total, count) after every
-            # add, so the non-monotone maxima fold exactly as the scalar
-            # loop's per-mutation bookkeeping.
-            extent, steps = state.add_many_steps(pairs, gmask)
-            max_bytes = stats.max_tainted_bytes
-            max_ranges = stats.max_range_count
-            for total_after, count_after in steps:
-                size = other_size + total_after
-                count = other_count + count_after
-                if size > max_bytes:
-                    max_bytes = size
-                if count > max_ranges:
-                    max_ranges = count
-            stats.max_tainted_bytes = max_bytes
-            stats.max_range_count = max_ranges
-            stats.stores_observed += j - cut
-            stats.taint_operations += j - cut
-            props += j - cut
-        else:
-            rest = L[cut:] | taint[cut - p :]
-            stop_rel = _np.flatnonzero(rest)
-            j = cut + (int(stop_rel[0]) if stop_rel.size else n - cut)
-            cand = _np.flatnonzero(hit[cut:j]) + cut
-            steps = state.remove_many(
-                [(int(S[i]), int(E[i])) for i in cand]
-            )
-            effective = [
-                (i, total_after, count_after)
-                for (i, (ok, total_after, count_after)) in zip(cand, steps)
-                if ok
-            ]
-            for _, total_after, count_after in effective:
-                stats.untaint_operations += 1
-                size = other_size + total_after
-                count = other_count + count_after
-                if size > stats.max_tainted_bytes:
-                    stats.max_tainted_bytes = size
-                if count > stats.max_range_count:
-                    stats.max_range_count = count
-            stats.stores_observed += j - cut
-            if effective:
-                extent = (
-                    int(min(S[i] for i, _, _ in effective)),
-                    int(max(E[i] for i, _, _ in effective)),
-                )
-            else:
-                extent = None
-        top = int(K[cut:j].max())
-        if top >= window.instructions_retired:
-            stats.instructions_observed += top + 1 - window.instructions_retired
-            window.instructions_retired = top + 1
-
-        # -- patch the masks (coverage *and* colours) from the extent ---
-        if extent is not None and j < n:
-            extent_lo, extent_hi = extent
-            suspects = _np.flatnonzero(
-                (S[j:] <= extent_hi) & (E[j:] >= extent_lo)
-            ) + j
-            if suspects.size:
-                new_hit, new_contained, new_omask, new_cover = _colour_masks(
-                    state, S[suspects], E[suspects]
-                )
-                hit[suspects] = new_hit
-                contained[suspects] = new_contained
-                omask[suspects] = new_omask
-                cover_mask[suspects] = new_cover
+                if colours is not None:
+                    (hit[suspects], contained[suspects], omask[suspects],
+                     cover_mask[suspects]) = _colour_masks(
+                        state, S[suspects], E[suspects], L[suspects]
+                    )
+                else:
+                    hit[suspects], contained[suspects], _ = _overlap_masks(
+                        state, S[suspects], E[suspects]
+                    )
         p = j
     window.last_tainted_load = last
     window.propagations = props
     window.colour_mask = wmask
-    tracker._dense_churn_streak = 0
-    return n, scalar_events
+    tracker.kernel.dense_events += n
+    return n, 0
 
 
 def observe_columns(
@@ -777,8 +652,10 @@ def observe_columns(
     *and* vectorised dense-regime execution.
 
     Alternates between bulk-skipping classified-irrelevant prefix runs
-    and the dense executor (:func:`_dense_span`) on relevant events.  The
-    block size doubles (up to :data:`BLOCK_MAX`) while blocks keep coming
+    and the dense executor (:func:`_dense_span`) on relevant events; the
+    executor's cost rule hands mutation-heavy spans to the scalar loop.
+    Every event is counted in ``tracker.kernel`` as skipped, dense or
+    scalar.  The block size doubles (up to :data:`BLOCK_MAX`) while blocks keep coming
     back fully irrelevant and resets after every relevant hit.  Slices
     where the scalar loop ends up doing most of the work (vector-handled
     share below one half after :data:`BAILOUT_AFTER` scalar events) hand
@@ -808,7 +685,6 @@ def observe_columns(
     arrays = columns.arrays()
     scalar = tracker.observe_columns_scalar
     dense_ok = not tracker._record_timeline
-    dense = _dense_span_coloured if tracker._coloured else _dense_span
     position = start
     block = BLOCK_MIN
     vector_handled = 0
@@ -818,6 +694,7 @@ def observe_columns(
         first = _first_relevant(tracker, arrays, position, block_end)
         if first > position:
             _skip_run(tracker, arrays, position, first)
+            tracker.kernel.skipped_events += first - position
             vector_handled += first - position
             position = first
         if position >= block_end:
@@ -828,7 +705,7 @@ def observe_columns(
         # the exact scalar loop when timeline recording demands
         # per-mutation samples), then re-sync against the updated state.
         if dense_ok:
-            consumed, dense_scalar = dense(
+            consumed, dense_scalar = _dense_span(
                 tracker, columns, arrays, position, stop
             )
         else:
@@ -842,6 +719,7 @@ def observe_columns(
         if scalar_handled >= BAILOUT_AFTER:
             if vector_handled < scalar_handled:
                 # Density bail-out, bounded: scalar a chunk, re-probe.
+                tracker.kernel.reprobe_handoffs += 1
                 chunk_end = min(position + REPROBE_EVERY, stop)
                 scalar(columns, position, chunk_end)
                 position = chunk_end

@@ -160,7 +160,7 @@ def build_dense_prefix_run():
 
     Each prefix triple taints a fresh range in-window then untaints it
     with an out-of-window overlapping store, so every store is a content
-    mutation: the dense executor's mutation budget trips and the density
+    mutation: the dense executor's cost rule hands off and the density
     bail-out engages.  The sparse tail must then re-enter the skip fast
     path via the bounded re-probe.  Freezes the bail-out + re-probe
     control flow end to end."""

@@ -4,13 +4,20 @@ observationally identical to per-event ``observe``.
 Three-way parity over random multi-PID streams — per-event ``observe``
 == scalar ``observe_columns_scalar`` == the numpy pre-filter kernel
 (``observe_columns_vectorized``) — on stats, taint state, timeline,
-untainting on and off, and with the telemetry shadow fallback live."""
+untainting on and off, and with the telemetry shadow fallback live.
+The kernel is also run with the dense executor forced on every same-PID
+run (:func:`forced_dense`), so its mutation machinery is checked even
+where the cost rule would hand a short random run to the scalar loop,
+and every column-path run's strategy counters must account for every
+event exactly once."""
 
 import json
+from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import vectorized
 from repro.core.config import PIFTConfig
 from repro.core.events import AccessKind, EventColumns, EventTrace, MemoryAccess
 from repro.core.ranges import AddressRange
@@ -108,6 +115,34 @@ def run_vectorized(config, stream, record_timeline=False):
     return tracker
 
 
+@contextmanager
+def forced_dense():
+    """Price a dense re-simulation at zero: every same-PID run enters the
+    dense executor and no span is handed to the scalar loop, so bulk
+    adds, untaint runs and mask patches run on every drawn stream."""
+    saved = vectorized.RESIM_COST
+    vectorized.RESIM_COST = 0
+    try:
+        yield
+    finally:
+        vectorized.RESIM_COST = saved
+
+
+def run_dense(config, stream):
+    with forced_dense():
+        return run_vectorized(config, stream)
+
+
+def assert_counts_cover(*trackers):
+    """Skipped + dense + scalar events == events observed, per tracker."""
+    for tracker in trackers:
+        kernel = tracker.kernel
+        assert (
+            kernel.skipped_events + kernel.dense_events + kernel.scalar_events
+            == tracker.stats.loads_observed + tracker.stats.stores_observed
+        ), kernel
+
+
 @given(st.lists(events, max_size=120), configs)
 @settings(max_examples=150, deadline=None)
 def test_batch_equals_per_event(raw, config):
@@ -158,8 +193,14 @@ def test_three_way_parity(raw, config):
     """
     stream = materialise(raw)
     reference = fingerprint(run_serial(config, stream))
-    assert fingerprint(run_scalar(config, stream)) == reference
-    assert fingerprint(run_vectorized(config, stream)) == reference
+    trackers = (
+        run_scalar(config, stream),
+        run_vectorized(config, stream),
+        run_dense(config, stream),
+    )
+    for tracker in trackers:
+        assert fingerprint(tracker) == reference
+    assert_counts_cover(*trackers)
 
 
 @given(st.lists(events, max_size=100), configs)
@@ -216,6 +257,7 @@ def test_dispatcher_parity_on_long_streams(raw, config, seed_shift):
         encode=EventColumns.from_events,
     )
     assert fingerprint(on) == fingerprint(off)
+    assert_counts_cover(on, off)
 
 
 @given(st.lists(events, max_size=60), configs)
@@ -279,8 +321,14 @@ def test_three_way_parity_under_regressing_indices(raw, config):
     the fingerprint via stats and ``instructions_per_pid``) bit-for-bit."""
     stream = materialise_adversarial(raw)
     reference = fingerprint(run_serial(config, stream))
-    assert fingerprint(run_scalar(config, stream)) == reference
-    assert fingerprint(run_vectorized(config, stream)) == reference
+    trackers = (
+        run_scalar(config, stream),
+        run_vectorized(config, stream),
+        run_dense(config, stream),
+    )
+    for tracker in trackers:
+        assert fingerprint(tracker) == reference
+    assert_counts_cover(*trackers)
 
 
 @given(
@@ -299,8 +347,14 @@ def test_adversarial_interleaves_crossing_block_boundaries(raw, config, jitter):
     while len(stream) < BLOCK_MIN * 2 + jitter:
         stream.extend(base)
     reference = fingerprint(run_serial(config, stream))
-    assert fingerprint(run_scalar(config, stream)) == reference
-    assert fingerprint(run_vectorized(config, stream)) == reference
+    trackers = (
+        run_scalar(config, stream),
+        run_vectorized(config, stream),
+        run_dense(config, stream),
+    )
+    for tracker in trackers:
+        assert fingerprint(tracker) == reference
+    assert_counts_cover(*trackers)
 
 
 @given(st.lists(events, max_size=60), st.integers(0, 60), st.integers(0, 60))

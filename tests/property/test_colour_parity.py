@@ -5,7 +5,8 @@ Two claims lock the colour layer down:
 1. **Three-way execution parity** — the coloured tracker's per-event
    ``observe``, scalar ``observe_columns_scalar``, and vectorised
    ``observe_columns_vectorized`` (which routes through the
-   mask-carrying dense executor) are observationally identical on random
+   mask-carrying dense executor, also run with the executor forced on
+   every same-PID run) are observationally identical on random
    multi-source, multi-PID streams: same stats, same interval+mask
    state, same colour attributions.
 
@@ -19,10 +20,12 @@ Two claims lock the colour layer down:
 """
 
 import json
+from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import vectorized
 from repro.core.colours import ColourSpace
 from repro.core.config import PIFTConfig
 from repro.core.events import AccessKind, EventColumns, MemoryAccess
@@ -112,6 +115,28 @@ def colour_fingerprint(tracker: ColourTracker) -> str:
     )
 
 
+@contextmanager
+def forced_dense():
+    """Price a dense re-simulation at zero, so every same-PID run goes
+    through the mask-carrying dense executor and none is handed off."""
+    saved = vectorized.RESIM_COST
+    vectorized.RESIM_COST = 0
+    try:
+        yield
+    finally:
+        vectorized.RESIM_COST = saved
+
+
+def assert_counts_cover(*trackers):
+    """Skipped + dense + scalar events == events observed, per tracker."""
+    for tracker in trackers:
+        kernel = tracker.kernel
+        assert (
+            kernel.skipped_events + kernel.dense_events + kernel.scalar_events
+            == tracker.stats.loads_observed + tracker.stats.stores_observed
+        ), kernel
+
+
 def merged_coverage(snapshot_state: dict):
     """Mask-blind coalesce of a ColourRangeSet snapshot — the union
     projection's interval structure."""
@@ -135,8 +160,13 @@ def test_coloured_three_way_execution_parity(raw, config):
     scalar.observe_columns_scalar(EventColumns.from_events(stream))
     vector = coloured_tracker(config)
     vector.observe_columns_vectorized(EventColumns.from_events(stream))
+    dense = coloured_tracker(config)
+    with forced_dense():
+        dense.observe_columns_vectorized(EventColumns.from_events(stream))
     assert colour_fingerprint(serial) == colour_fingerprint(scalar)
     assert colour_fingerprint(scalar) == colour_fingerprint(vector)
+    assert colour_fingerprint(scalar) == colour_fingerprint(dense)
+    assert_counts_cover(scalar, vector, dense)
 
 
 @given(st.lists(events, max_size=120), configs)
@@ -206,4 +236,9 @@ def test_single_colour_three_way_parity(raw, config):
         serial.observe(event)
     vector = coloured_tracker(config, source_count=1)
     vector.observe_columns_vectorized(EventColumns.from_events(stream))
+    dense = coloured_tracker(config, source_count=1)
+    with forced_dense():
+        dense.observe_columns_vectorized(EventColumns.from_events(stream))
     assert colour_fingerprint(serial) == colour_fingerprint(vector)
+    assert colour_fingerprint(serial) == colour_fingerprint(dense)
+    assert_counts_cover(vector, dense)

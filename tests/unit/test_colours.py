@@ -12,6 +12,7 @@ small exact behaviours those properties quantify over.
 
 import pytest
 
+from repro.core import vectorized
 from repro.core.colours import ColourRangeSet, ColourSpace
 from repro.core.config import PIFTConfig
 from repro.core.events import EventColumns, load, store
@@ -182,7 +183,12 @@ class TestColouredDenseHighWater:
         tracker.taint_source(AddressRange(402, 402), colour="e")
         return tracker
 
-    def test_splitting_bulk_add_records_range_count_high_water(self):
+    def test_splitting_bulk_add_records_range_count_high_water(
+        self, monkeypatch
+    ):
+        # Price re-simulation at zero so the dense executor (not the cost
+        # rule's scalar hand-off) commits the mutations below.
+        monkeypatch.setattr(vectorized, "RESIM_COST", 0)
         config = PIFTConfig(
             window_size=50,
             max_propagations=8,
@@ -201,8 +207,7 @@ class TestColouredDenseHighWater:
             # ranges ([200]c [201]ac [202]c [203]bc [204]c) -> count 6.
             store(200, 204, 3),
         ]
-        # Pad the same-PID run past DENSE_MIN so the dense executor (not
-        # the scalar fallback loop) commits the mutations above.
+        # Pad the same-PID run so the span is more than a few events.
         events += [
             load(10_000 + 16 * i, 10_000 + 16 * i + 3, 4 + i)
             for i in range(60)
@@ -212,6 +217,7 @@ class TestColouredDenseHighWater:
         scalar.observe_columns_scalar(columns)
         vector = self.build(config)
         vector.observe_columns_vectorized(columns)
+        assert vector.kernel.dense_events == len(columns)
         assert scalar.stats.max_range_count == 6
         assert vector.stats.as_dict() == scalar.stats.as_dict()
 

@@ -6,8 +6,8 @@ revived elsewhere produces bit-identical verdicts.  These tests pin the
 underlying machinery shard-by-shard: ``BufferedPIFT`` round-trips with a
 non-empty FIFO, pending-verdict reconciliation survives the move,
 ``ColourTracker`` masks and colour spaces travel intact, and the
-execution-strategy hysteresis (``_dense_churn_streak``) deliberately
-does *not* travel.
+execution-strategy counters (``tracker.kernel``) deliberately do *not*
+travel.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.core.colours import ColourSpace
 from repro.core.config import OverflowPolicy, PIFTConfig
 from repro.core.events import load, store
 from repro.core.ranges import AddressRange
-from repro.core.tracker import ColourTracker, PIFTTracker
+from repro.core.tracker import ColourTracker, KernelCounters, PIFTTracker
 from repro.serve.shard import ShardError, TrackerShard
 
 CONFIG = PIFTConfig(5, 2)
@@ -144,23 +144,24 @@ class TestPendingVerdictReconciliation:
 
 
 class TestHysteresisAfterRestore:
-    def test_tracker_restore_clears_dense_churn_streak(self):
+    def test_tracker_restore_clears_kernel_counters(self):
         tracker = PIFTTracker(CONFIG)
         tracker.taint_source(SRC)
-        tracker._dense_churn_streak = 5
+        tracker.kernel.scalar_events = 5
         snapshot = tracker.snapshot()
         heir = PIFTTracker(CONFIG)
-        heir._dense_churn_streak = 3
+        heir.kernel.dense_events = 3
         heir.restore(snapshot)
-        assert heir._dense_churn_streak == 0
+        assert heir.kernel == KernelCounters()
 
-    def test_buffered_restore_clears_wrapped_tracker_hysteresis(self):
+    def test_buffered_restore_clears_wrapped_tracker_counters(self):
         donor = BufferedPIFT(CONFIG, capacity=64, drain_batch=4)
         donor.taint_source(SRC)
-        donor.tracker._dense_churn_streak = 7
+        donor.tracker.kernel.scalar_events = 7
         heir = BufferedPIFT(CONFIG, capacity=64, drain_batch=4)
+        heir.tracker.kernel.dense_events = 2
         heir.restore(donor.snapshot())
-        assert heir.tracker._dense_churn_streak == 0
+        assert heir.tracker.kernel == KernelCounters()
 
     def test_backpressure_flag_travels(self):
         donor = BufferedPIFT(

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import PIFTConfig
 from repro.core.events import load, store
 from repro.core.ranges import AddressRange
-from repro.core.tracker import PIFTTracker, track_trace
+from repro.core.tracker import KernelCounters, PIFTTracker, track_trace
 
 
 SRC = AddressRange(0x1000, 0x1003)
@@ -222,18 +222,18 @@ class TestMultiProcessAccounting:
         clone.restore(payload)
         assert clone.instructions_per_pid == t.instructions_per_pid
 
-    def test_reset_and_restore_clear_churn_hysteresis(self):
-        # The dense executor's churn streak is execution-strategy state;
-        # leaking it across reset/restore would let a previous run route
-        # the next run's first chunks to the scalar loop.
+    def test_reset_and_restore_clear_kernel_counters(self):
+        # The per-strategy counters are execution-strategy state; leaking
+        # them across reset/restore would attribute a previous run's
+        # events to the next one.
         t = PIFTTracker(PIFTConfig(window_size=5, max_propagations=2))
-        assert t._dense_churn_streak == 0
-        t._dense_churn_streak = 3
+        assert t.kernel == KernelCounters()
+        t.kernel.scalar_events = 3
         t.reset()
-        assert t._dense_churn_streak == 0
-        t._dense_churn_streak = 3
+        assert t.kernel == KernelCounters()
+        t.kernel.dense_spans = 3
         t.restore(t.snapshot())
-        assert t._dense_churn_streak == 0
+        assert t.kernel == KernelCounters()
 
     def test_event_trace_counts_sum_of_per_pid_maxima(self):
         from repro.core.events import EventTrace

@@ -6,6 +6,9 @@ observational equivalence on random streams; these tests pin the
 adaptation, and the dense-trace bail-out — with deterministic traces.
 """
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.core import vectorized
@@ -13,7 +16,12 @@ from repro.core.config import PIFTConfig
 from repro.core.events import ColumnArrays, EventColumns, load, store
 from repro.core.ranges import AddressRange, RangeSet
 from repro.core.taint_storage import paper_default_storage
-from repro.core.tracker import _VECTORIZED_MIN_EVENTS, PIFTTracker
+from repro.core.tracker import (
+    _VECTORIZED_MIN_EVENTS,
+    ColourTracker,
+    KernelCounters,
+    PIFTTracker,
+)
 
 SOURCE = AddressRange(0, 15)
 
@@ -43,8 +51,8 @@ def churn_stream(count, start_index=0, pid=0):
     With ``window_size=50, max_propagations=1``: each triple is a hit
     load (reopens the window), a store tainting a fresh disjoint range
     (cap reached), then a store over the previous triple's range — past
-    the cap and overlapping, so it untaints.  The dense executor's
-    mutation budget trips immediately, forcing the density bail-out.
+    the cap and overlapping, so it untaints.  The dense executor's cost
+    rule hands off at once, forcing the density bail-out.
     """
     out = []
     for i in range(count):
@@ -393,6 +401,234 @@ class TestKernelMechanics:
         assert tracker.stats.as_dict() == reference.stats.as_dict()
         assert tracker.snapshot() == reference.snapshot()
         assert tracker.stats.taint_operations >= 2
+
+
+def events_observed(tracker):
+    return tracker.stats.loads_observed + tracker.stats.stores_observed
+
+
+def counted_events(tracker):
+    kernel = tracker.kernel
+    return kernel.skipped_events + kernel.dense_events + kernel.scalar_events
+
+
+class TestKernelCounters:
+    def test_scalar_loop_counts_every_event(self):
+        tracker = make_tracker(vectorized_on=False)
+        tracker.observe_columns(EventColumns.from_events(churn_stream(900)))
+        assert tracker.kernel.scalar_events == 900
+        assert counted_events(tracker) == events_observed(tracker)
+
+    def test_sparse_trace_counts_as_skipped(self):
+        tracker = make_tracker()
+        columns = EventColumns.from_events(untainted_stream(2000))
+        tracker.observe_columns_vectorized(columns)
+        assert tracker.kernel.skipped_events == 2000
+        assert tracker.kernel.dense_spans == 0
+
+    def test_counters_stay_out_of_tracker_stats(self):
+        # Stats are compared across strategies; the counters differ by
+        # construction, so they must never leak into ``as_dict``.
+        tracker = make_tracker()
+        tracker.observe_columns_vectorized(
+            EventColumns.from_events(tainting_stream(1000))
+        )
+        assert tracker.kernel.dense_events
+        assert not set(tracker.stats.as_dict()) & set(
+            tracker.kernel.as_dict()
+        )
+
+    @pytest.mark.parametrize("cls", [PIFTTracker, ColourTracker])
+    def test_reset_and_restore_clear_counters(self, cls):
+        tracker = cls(PIFTConfig())
+        tracker.taint_source(SOURCE)
+        tracker.observe_columns_vectorized(
+            EventColumns.from_events(tainting_stream(1000))
+        )
+        assert tracker.kernel != KernelCounters()
+        snapshot = tracker.snapshot()
+        tracker.reset()
+        assert tracker.kernel == KernelCounters()
+        tracker.observe_columns_vectorized(
+            EventColumns.from_events(tainting_stream(1000))
+        )
+        tracker.restore(snapshot)
+        assert tracker.kernel == KernelCounters()
+
+
+def dense_payload_stream(steps, seed=5):
+    """The taint-dense payload shape: one load from the ``imei`` source,
+    then three stores into an already-tainted buffer, per step."""
+    rng = random.Random(seed)
+    out = []
+    index = 0
+    for _ in range(steps):
+        index += 1
+        a = rng.randrange(0, 4_095 - 8)
+        out.append(load(a, a + 3, index))
+        for _ in range(3):
+            index += 1
+            b = rng.randrange(8_192, 73_727 - 8)
+            out.append(store(b, b + 7, index))
+    return out
+
+
+class TestCostRule:
+    """Count-based checks of the dense executor's cost rule (no timing)."""
+
+    def test_largest_droidbench_run_stays_within_the_rule(self, monkeypatch):
+        from repro.analysis.replay import replay
+        from repro.apps.droidbench import record_suite
+
+        recorded = max(
+            (app.recorded for app in record_suite()),
+            key=lambda run: len(run.trace),
+        )
+        spans = []
+        real_span, real_simulate = vectorized._dense_span, vectorized._simulate
+
+        def span(tracker, columns, arrays, lo, limit):
+            spans.append([0, 0])
+            consumed, scalar_events = real_span(
+                tracker, columns, arrays, lo, limit
+            )
+            spans[-1][1] = consumed
+            return consumed, scalar_events
+
+        def simulate(*args):
+            spans[-1][0] += 1
+            return real_simulate(*args)
+
+        monkeypatch.setattr(vectorized, "_dense_span", span)
+        monkeypatch.setattr(vectorized, "_simulate", simulate)
+        config = PIFTConfig(window_size=13, max_propagations=3)
+        auto = replay(recorded, config)
+        assert any(sims for sims, _ in spans), "dense executor never ran"
+        for sims, events in spans:
+            # A simulation only runs while the ones before it cost no
+            # more than the span's scalar price.
+            assert sims <= events // vectorized.RESIM_COST + 1
+        scalar = replay(recorded, replace(config, vectorized=False))
+        assert auto.sink_outcomes == scalar.sink_outcomes
+        assert auto.stats.as_dict() == scalar.stats.as_dict()
+
+    def test_dense_payload_shape_runs_vectorised(self):
+        columns = EventColumns.from_events(dense_payload_stream(2_000))
+        trackers = []
+        for vectorized_on in (True, False):
+            tracker = PIFTTracker(
+                PIFTConfig(window_size=13, vectorized=vectorized_on)
+            )
+            tracker.taint_source(AddressRange(0, 4_095))
+            tracker.taint_source(AddressRange(8_192, 73_727))
+            tracker.observe_columns(columns)
+            trackers.append(tracker)
+        auto, scalar = trackers
+        kernel = auto.kernel
+        assert counted_events(auto) == events_observed(auto) == len(columns)
+        assert kernel.skipped_events + kernel.dense_events >= 0.9 * len(
+            columns
+        )
+        assert auto.stats.as_dict() == scalar.stats.as_dict()
+        assert auto.snapshot() == scalar.snapshot()
+
+    @pytest.mark.parametrize("cls", [PIFTTracker, ColourTracker])
+    @pytest.mark.parametrize("slack, handoffs", [(0, 0), (-1, 1)])
+    def test_span_at_the_handoff_threshold(self, cls, slack, handoffs):
+        # One same-PID span: a tainted load opens a wide window, then two
+        # stores taint fresh bytes (two content mutations).  From the
+        # first cut, ``2 * RESIM_COST + slack`` events remain, so the
+        # rule's ``cuts * RESIM_COST > remaining`` sits exactly on the
+        # boundary (stay dense) or one event past it (hand off).
+        cost = vectorized.RESIM_COST
+        lead = 10
+        remaining = 2 * cost + slack
+        stream = [load(0, 3, 0)]
+        stream += [
+            load(10_000 + 16 * i, 10_003 + 16 * i, 1 + i) for i in range(lead)
+        ]
+        stream += [
+            store(50_000, 50_003, lead + 1),
+            load(20_000, 20_003, lead + 2),
+            store(50_100, 50_103, lead + 3),
+        ]
+        stream += [
+            load(30_000 + 16 * i, 30_003 + 16 * i, lead + 4 + i)
+            for i in range(remaining - 3)
+        ]
+        columns = EventColumns.from_events(stream)
+        config = PIFTConfig(window_size=10_000, max_propagations=8)
+        trackers = []
+        for force in (True, False):
+            tracker = cls(config)
+            tracker.taint_source(SOURCE)
+            if force:
+                tracker.observe_columns_vectorized(columns)
+            else:
+                tracker.observe_columns_scalar(columns)
+            trackers.append(tracker)
+        vector, scalar = trackers
+        assert vector.kernel.dense_spans == 1
+        assert vector.kernel.cost_handoffs == handoffs
+        assert vector.kernel.scalar_events == (remaining if handoffs else 0)
+        assert counted_events(vector) == events_observed(vector)
+        assert vector.stats.taint_operations == 2
+        assert vector.stats.as_dict() == scalar.stats.as_dict()
+        assert vector.snapshot() == scalar.snapshot()
+
+    def test_run_shorter_than_one_simulation_stays_scalar(self):
+        short = vectorized.RESIM_COST - 1
+        tracker = make_tracker()
+        tracker.observe_columns_vectorized(
+            EventColumns.from_events(tainting_stream(short))
+        )
+        assert tracker.kernel.dense_spans == 0
+        assert tracker.kernel.scalar_events == short
+
+    @pytest.mark.parametrize("cls", [PIFTTracker, ColourTracker])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forced_dense_execution_matches_scalar(
+        self, monkeypatch, cls, seed
+    ):
+        # With re-simulation priced at zero the executor never hands off,
+        # so bulk adds under the range-count guard, untaint runs, mask
+        # patches and multi-range colour loads all run on long mutating
+        # single-PID streams; every one must match the scalar loop.
+        monkeypatch.setattr(vectorized, "RESIM_COST", 0)
+        rng = random.Random(seed)
+        stream = []
+        for k in range(1_500):
+            if rng.random() < 0.3:
+                a = rng.randrange(0, 36)
+                stream.append(load(a, a + rng.randrange(0, 8), k))
+            else:
+                a = rng.randrange(1_000, 1_400)
+                stream.append(store(a, a + rng.randrange(0, 8), k))
+        columns = EventColumns.from_events(stream)
+        config = PIFTConfig(
+            window_size=rng.randrange(4, 30),
+            max_propagations=rng.randrange(1, 6),
+            untainting=seed % 3 != 0,
+        )
+        trackers = []
+        for force in (True, False):
+            tracker = cls(config)
+            if cls is ColourTracker:
+                tracker.taint_source(AddressRange(0, 15), colour="imei")
+                tracker.taint_source(AddressRange(16, 31), colour="gps")
+            else:
+                tracker.taint_source(AddressRange(0, 31))
+            if force:
+                tracker.observe_columns_vectorized(columns)
+            else:
+                tracker.observe_columns_scalar(columns)
+            trackers.append(tracker)
+        vector, scalar = trackers
+        assert vector.kernel.cost_handoffs == 0
+        assert vector.kernel.dense_events > 0
+        assert counted_events(vector) == events_observed(vector)
+        assert vector.stats.as_dict() == scalar.stats.as_dict()
+        assert vector.snapshot() == scalar.snapshot()
 
 
 class TestNumpyAbsentReplayDegradation:
