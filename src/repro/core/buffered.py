@@ -33,6 +33,19 @@ in main memory).  Watermarks expose *backpressure*: when the FIFO depth
 crosses ``high_watermark`` the ``backpressure`` flag raises (and is
 counted) until depth falls back to ``low_watermark``.
 
+Column slices
+-------------
+
+The FIFO holds ``(columns, lo, hi)`` slices of
+:class:`~repro.core.events.EventColumns`, and every depth is counted in
+events.  :meth:`BufferedPIFT.enqueue_columns` appends a whole slice,
+cut only where a per-event enqueue would act (the capacity and the next
+watermark crossing), so stats, drains and backpressure calls match
+:meth:`BufferedPIFT.on_memory_event` event for event.  A drain hands
+each slice to the tracker's column dispatcher
+(:meth:`~repro.core.tracker.PIFTTracker.observe_columns`); only a fault
+plan makes it step event by event.
+
 Once any event has been force-dropped — by an overflow policy or by an
 injected fault (:mod:`repro.core.faults`) — the taint state is no longer
 trustworthy: immediate answers carry a ``degraded`` flag
@@ -49,7 +62,7 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from repro.core.colours import ColourSpace
 from repro.core.config import BufferConfig, OverflowPolicy, PIFTConfig
-from repro.core.events import AccessKind, MemoryAccess
+from repro.core.events import AccessKind, EventColumns, MemoryAccess
 from repro.core.ranges import AddressRange
 from repro.core.tracker import ColourTracker, PIFTTracker, TrackerStats
 
@@ -188,8 +201,15 @@ class BufferedPIFT:
             raise ValueError("low_watermark must be in [0, high_watermark)")
         self.stats = BufferStats()
         self.late_detections: List[LateDetection] = []
-        self._queue: Deque[MemoryAccess] = deque()
-        self._spill: Deque[MemoryAccess] = deque()
+        # Both FIFOs hold ``[columns, lo, hi]`` slices (events ``[lo, hi)``
+        # of an EventColumns); depths are counted in events.
+        self._queue: Deque[list] = deque()
+        self._spill: Deque[list] = deque()
+        self._depth = 0
+        self._spill_depth = 0
+        # Columns that single-event enqueues append to; replaced once
+        # full or once a drain has read it (its numpy view may be cached).
+        self._open: Optional[EventColumns] = None
         self._pending_immediate: List[tuple] = []
         self._backpressure = False
         self._on_backpressure = on_backpressure
@@ -253,60 +273,141 @@ class BufferedPIFT:
 
     def on_memory_event(self, event: MemoryAccess) -> None:
         """Append one event; apply the overflow policy when the FIFO is full."""
-        if (
-            self.policy is not OverflowPolicy.BLOCK
-            and len(self._queue) >= self.capacity
+        columns = self._open
+        if columns is None or len(columns) >= self.capacity:
+            columns = self._open = EventColumns([], [], [], [], [])
+        position = len(columns)
+        columns.events.append(event)
+        columns.is_loads.append(event.kind is AccessKind.LOAD)
+        columns.ranges.append(event.address_range)
+        columns.indices.append(event.instruction_index)
+        columns.pids.append(event.pid)
+        depth = self._depth + 1
+        if depth < self.capacity and (
+            depth > self._low_watermark if self._backpressure
+            else depth < self._high_watermark
         ):
-            if not self._make_room():
-                return  # DROP_NEWEST refused the incoming event
-        self._queue.append(event)
-        self._enqueue_seq += 1
-        self.stats.events_buffered += 1
-        if len(self._queue) > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = len(self._queue)
-        if self._tel is not None:
-            self._m_events.inc()
-            self._m_depth.set(len(self._queue))
-        self._update_backpressure()
-        if (
-            self.policy is OverflowPolicy.BLOCK
-            and len(self._queue) >= self.capacity
-        ):
-            self.drain(self.drain_batch)
+            # Nothing acts on this event but the append: the common case
+            # of _enqueue, taken without its loop.
+            self._push(columns, position, position + 1)
+            self._accepted(1)
+            return
+        self._enqueue(columns, position, position + 1)
 
     def _on_memory_event_with_faults(self, event: MemoryAccess) -> None:
         """Fault-path shadow of :meth:`on_memory_event` (instance-bound)."""
         for delivered in self._injector.feed(event):
             type(self).on_memory_event(self, delivered)
 
-    def _make_room(self) -> bool:
-        """Apply a non-blocking overflow policy; False rejects the event."""
-        if self.policy is OverflowPolicy.DROP_NEWEST:
-            self.stats.forced_drops += 1
-            if self._tel is not None:
-                self._m_forced_drops.inc()
+    def enqueue_columns(
+        self, columns: EventColumns, lo: int = 0, hi: Optional[int] = None
+    ) -> None:
+        """Append events ``[lo, hi)`` of ``columns`` to the FIFO.
+
+        Observationally identical to :meth:`on_memory_event` once per
+        event, in order: stats, pending-check barriers, drains and
+        ``on_backpressure`` calls all come out the same.  The slice is
+        cut where a per-event enqueue would act — at the capacity (a
+        ``BLOCK`` drain or an overflow policy) and at the next watermark
+        crossing — so every piece in between is accounted in bulk.
+        """
+        if hi is None:
+            hi = len(columns)
+        if self._injector is None:
+            self._enqueue(columns, lo, hi)
+            return
+        # Event faults (drop, duplicate, reorder, ...) strike per event.
+        for event in columns.events[lo:hi]:
+            self.on_memory_event(event)
+
+    def _enqueue(self, columns: EventColumns, lo: int, hi: int) -> None:
+        """:meth:`enqueue_columns` without a fault plan."""
+        policy = self.policy
+        block = policy is OverflowPolicy.BLOCK
+        capacity = self.capacity
+        while lo < hi:
+            if not block and self._depth >= capacity:
+                if policy is OverflowPolicy.DROP_NEWEST:
+                    self._force_drops(hi - lo)  # the full FIFO refuses them
+                    return
+                if policy is OverflowPolicy.DROP_OLDEST:
+                    # Each event evicts the head, so the depth stays at
+                    # capacity (backpressure engaged on the way up).
+                    count = hi - lo
+                    self._push(columns, lo, hi)
+                    _take(self._queue, count)
+                    self._depth -= count
+                    self._retired_seq += count
+                    self._force_drops(count)
+                    self._accepted(count)
+                    self._update_backpressure()
+                    return
+                self._spill_burst()
+            # Stop where the next event could act: the high watermark
+            # (never above the capacity) while backpressure is off, the
+            # capacity while it is on, or at once if one append can
+            # release it.
+            depth = self._depth
+            if not self._backpressure:
+                stop = self._high_watermark
+            elif depth < self._low_watermark:
+                stop = depth + 1
+            else:
+                stop = capacity
+            take = hi - lo
+            if stop - depth < take:
+                take = stop - depth if stop > depth else 1
+            self._push(columns, lo, lo + take)
+            lo += take
+            self._accepted(take)
+            self._update_backpressure()
+            if block and self._depth >= capacity:
+                self.drain(self.drain_batch)
+
+    def _push(self, columns: EventColumns, lo: int, hi: int) -> None:
+        """Append a slice to the FIFO, extending the tail when contiguous."""
+        queue = self._queue
+        self._depth += hi - lo
+        if queue:
+            tail = queue[-1]
+            if tail[0] is columns and tail[2] == lo:
+                tail[2] = hi
+                return
+        queue.append([columns, lo, hi])
+
+    def _accepted(self, count: int) -> None:
+        """Account ``count`` events just pushed."""
+        self._enqueue_seq += count
+        self.stats.events_buffered += count
+        depth = self._depth
+        if depth > self.stats.max_queue_depth:
+            self.stats.max_queue_depth = depth
+        if self._tel is not None:
+            self._m_events.inc(count)
+            self._m_depth.set(depth)
+
+    def _force_drops(self, count: int) -> None:
+        self.stats.forced_drops += count
+        if self._tel is not None:
+            self._m_forced_drops.inc(count)
+            for _ in range(count):
                 self._tel.event("forced_drop", policy=self.policy.value)
-            return False
-        if self.policy is OverflowPolicy.DROP_OLDEST:
-            self._queue.popleft()
-            self._retired_seq += 1
-            self.stats.forced_drops += 1
-            if self._tel is not None:
-                self._m_forced_drops.inc()
-                self._tel.event("forced_drop", policy=self.policy.value)
-            return True
-        # SPILL: burst-write the oldest drain_batch events to main memory.
-        burst = min(self.drain_batch, len(self._queue))
-        for _ in range(burst):
-            self._spill.append(self._queue.popleft())
+
+    def _spill_burst(self) -> None:
+        """SPILL: burst-write the oldest drain_batch events to main memory."""
+        burst = min(self.drain_batch, self._depth)
+        self._spill.extend(_take(self._queue, burst))
+        self._depth -= burst
+        self._spill_depth += burst
         self.stats.spilled_events += burst
         if self._tel is not None:
             self._m_spilled.inc(burst)
-            self._tel.event("spill", events=burst, spill_depth=len(self._spill))
-        return True
+            self._tel.event(
+                "spill", events=burst, spill_depth=self._spill_depth
+            )
 
     def _update_backpressure(self) -> None:
-        depth = len(self._queue)
+        depth = self._depth
         if not self._backpressure and depth >= self._high_watermark:
             self._backpressure = True
             self.stats.backpressure_engagements += 1
@@ -349,12 +450,12 @@ class BufferedPIFT:
 
     @property
     def queue_depth(self) -> int:
-        return len(self._queue)
+        return self._depth
 
     @property
     def spill_depth(self) -> int:
         """Events waiting in the secondary (main-memory) spill queue."""
-        return len(self._spill)
+        return self._spill_depth
 
     @property
     def backpressure(self) -> bool:
@@ -380,21 +481,35 @@ class BufferedPIFT:
         """Process up to ``batch`` queued events (all of them if None).
 
         Spilled events are worked through first — they are the oldest,
-        and FIFO order must hold for reconciliation.
+        and FIFO order must hold for reconciliation.  Each slice goes to
+        the tracker's column dispatcher in one call; only a fault plan,
+        whose state faults strike between events, steps event by event.
         """
-        available = len(self._spill) + len(self._queue)
+        available = self._spill_depth + self._depth
         limit = available if batch is None else min(batch, available)
         started = time.perf_counter() if self._tel is not None else 0.0
+        from_spill = min(limit, self._spill_depth)
+        slices = _take(self._spill, from_spill)
+        slices += _take(self._queue, limit - from_spill)
+        self._spill_depth -= from_spill
+        self._depth -= limit - from_spill
+        self._open = None
         injector = self._injector
-        spill = self._spill
-        queue = self._queue
-        observe = self.tracker.observe
-        for _ in range(limit):
-            event = spill.popleft() if spill else queue.popleft()
-            observe(event)
-            self._retired_seq += 1
-            if injector is not None:
-                injector.state_faults(self.tracker, event.pid)
+        tracker = self.tracker
+        if injector is None:
+            observe_columns = tracker.observe_columns
+            for columns, lo, hi in slices:
+                observe_columns(columns, lo, hi)
+            self._retired_seq += limit
+        else:
+            observe = tracker.observe
+            for columns, lo, hi in slices:
+                events = columns.events
+                for i in range(lo, hi):
+                    event = events[i]
+                    observe(event)
+                    self._retired_seq += 1
+                    injector.state_faults(tracker, event.pid)
         if limit:
             self.stats.drains += 1
             self.stats.events_drained += limit
@@ -402,12 +517,12 @@ class BufferedPIFT:
             elapsed = time.perf_counter() - started
             self._m_drains.inc()
             self._m_drained.inc(limit)
-            self._m_depth.set(len(self._queue))
+            self._m_depth.set(self._depth)
             self._m_drain_seconds.observe(elapsed)
             self._tel.event(
                 "drain",
                 events=limit,
-                remaining=len(self._queue),
+                remaining=self._depth,
                 duration_us=round(elapsed * 1e6, 3),
             )
         self._update_backpressure()
@@ -422,7 +537,7 @@ class BufferedPIFT:
     def check_blocking(self, address_range: AddressRange, pid: int = 0) -> bool:
         """Prevention semantics: wait for the buffer, then answer."""
         self.stats.blocking_checks += 1
-        self.stats.blocking_drain_events += len(self._queue) + len(self._spill)
+        self.stats.blocking_drain_events += self._depth + self._spill_depth
         self.drain_all()
         if self.degraded:
             self.stats.degraded_checks += 1
@@ -468,7 +583,7 @@ class BufferedPIFT:
         else:
             answer = self.tracker.check(address_range, pid=pid)
         if not answer:
-            behind = len(self._queue) + len(self._spill)
+            behind = self._depth + self._spill_depth
             self._pending_immediate.append(
                 (sink_name, address_range, pid, behind, self._enqueue_seq)
             )
@@ -524,19 +639,10 @@ class BufferedPIFT:
         and spill contents, buffer stats, backpressure state, and the
         provisional immediate checks with their sequence barriers.
         """
-        def pack(event: MemoryAccess) -> list:
-            return [
-                event.kind.value,
-                event.address_range.start,
-                event.address_range.end,
-                event.instruction_index,
-                event.pid,
-            ]
-
         return {
             "tracker": self.tracker.snapshot(),
-            "queue": [pack(event) for event in self._queue],
-            "spill": [pack(event) for event in self._spill],
+            "queue": _pack(self._queue),
+            "spill": _pack(self._spill),
             "stats": self.stats.as_dict(),
             "pending": [
                 [sink, rng.start, rng.end, pid, behind, barrier]
@@ -558,16 +664,10 @@ class BufferedPIFT:
 
     def restore(self, snapshot: dict) -> None:
         """Restore a :meth:`snapshot` exactly (construction params aside)."""
-        def unpack(packed) -> MemoryAccess:
-            kind, start, end, index, pid = packed
-            return MemoryAccess(
-                AccessKind(kind), AddressRange(int(start), int(end)),
-                int(index), int(pid),
-            )
-
         self.tracker.restore(snapshot["tracker"])
-        self._queue = deque(unpack(packed) for packed in snapshot["queue"])
-        self._spill = deque(unpack(packed) for packed in snapshot["spill"])
+        self._queue, self._depth = _unpack(snapshot["queue"])
+        self._spill, self._spill_depth = _unpack(snapshot["spill"])
+        self._open = None
         self.stats = BufferStats.from_dict(snapshot["stats"])
         self._pending_immediate = [
             (sink, AddressRange(int(start), int(end)), int(pid),
@@ -587,3 +687,52 @@ class BufferedPIFT:
         self._backpressure = bool(snapshot["backpressure"])
         self._enqueue_seq = int(snapshot["enqueue_seq"])
         self._retired_seq = int(snapshot["retired_seq"])
+
+
+def _take(fifo: Deque[list], count: int) -> List[list]:
+    """Remove the oldest ``count`` events of a slice FIFO, as slices."""
+    taken: List[list] = []
+    while count:
+        head = fifo[0]
+        columns, lo, hi = head
+        if hi - lo <= count:
+            taken.append(fifo.popleft())
+            count -= hi - lo
+        else:
+            taken.append([columns, lo, lo + count])
+            head[1] = lo + count
+            count = 0
+    return taken
+
+
+def _pack(fifo: Deque[list]) -> List[list]:
+    """A slice FIFO as snapshot rows: ``[kind, start, end, index, pid]``."""
+    load, store = AccessKind.LOAD.value, AccessKind.STORE.value
+    rows: List[list] = []
+    for columns, lo, hi in fifo:
+        is_loads, ranges = columns.is_loads, columns.ranges
+        indices, pids = columns.indices, columns.pids
+        for i in range(lo, hi):
+            address_range = ranges[i]
+            rows.append([
+                load if is_loads[i] else store,
+                address_range.start,
+                address_range.end,
+                indices[i],
+                pids[i],
+            ])
+    return rows
+
+
+def _unpack(rows: List[list]) -> Tuple[Deque[list], int]:
+    """Inverse of :func:`_pack`: one slice over new columns, and its depth."""
+    if not rows:
+        return deque(), 0
+    columns = EventColumns(
+        None,
+        [AccessKind(kind) is AccessKind.LOAD for kind, *_ in rows],
+        [AddressRange(int(start), int(end)) for _, start, end, *_ in rows],
+        [int(row[3]) for row in rows],
+        [int(row[4]) for row in rows],
+    )
+    return deque([[columns, 0, len(rows)]]), len(rows)

@@ -113,24 +113,44 @@ class EventColumns:
     which is where most of the per-event Python overhead lives.  Encode
     once (``EventTrace.columns()`` caches the encoding), replay many times
     — the record-once/replay-many shape every ``(NI, NT)`` sweep has.
+
+    ``events`` may be passed as ``None`` by a producer that has only the
+    columns (the ``repro serve`` wire decoder, a restored buffer
+    snapshot): the :class:`MemoryAccess` objects are then built on first
+    access to :attr:`events`, which only a per-event consumer (a
+    telemetry shadow, a fault injector) ever makes.
     """
 
-    __slots__ = ("events", "is_loads", "ranges", "indices", "pids", "_arrays")
+    __slots__ = ("_events", "is_loads", "ranges", "indices", "pids", "_arrays")
 
     def __init__(
         self,
-        events: Sequence[MemoryAccess],
+        events: Optional[Sequence[MemoryAccess]],
         is_loads: List[bool],
         ranges: List[AddressRange],
         indices: List[int],
         pids: List[int],
     ) -> None:
-        self.events = events
+        self._events = events
         self.is_loads = is_loads
         self.ranges = ranges
         self.indices = indices
         self.pids = pids
         self._arrays: Optional[ColumnArrays] = None
+
+    @property
+    def events(self) -> Sequence[MemoryAccess]:
+        """The per-event objects, built from the columns on first use."""
+        if self._events is None:
+            load_kind, store_kind = AccessKind.LOAD, AccessKind.STORE
+            self._events = [
+                MemoryAccess(load_kind if is_load else store_kind,
+                             address_range, index, pid)
+                for is_load, address_range, index, pid in zip(
+                    self.is_loads, self.ranges, self.indices, self.pids
+                )
+            ]
+        return self._events
 
     @classmethod
     def from_events(cls, events: Iterable[MemoryAccess]) -> "EventColumns":

@@ -39,11 +39,11 @@ the verdict stream a device receives lines up 1:1 with the
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.replay import replay_plan_for, source_colour
 from repro.android.device import RecordedRun
-from repro.core.events import AccessKind, MemoryAccess
+from repro.core.events import EventColumns, MemoryAccess
 from repro.core.ranges import AddressRange
 
 PROTOCOL_VERSION = 1
@@ -127,28 +127,91 @@ def events_frame(events: List[MemoryAccess]) -> dict:
     }
 
 
-def decode_events(frame: dict) -> Iterator[MemoryAccess]:
-    """Rebuild the :class:`MemoryAccess` stream of an ``events`` frame."""
+#: The integer columns of an ``events`` frame, in validation order.
+_INT_COLUMNS = ("starts", "sizes", "indices", "pids")
+
+#: Every integer must fit the int64 column arrays the tracker's
+#: vectorised kernel builds; an address range must end inside it too.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _validated_columns(frame: dict) -> tuple:
+    """The five columns of an ``events`` frame, checked in bulk.
+
+    Raises :class:`ProtocolError` naming the first problem found, before
+    anything is decoded, so a frame is ingested whole or not at all.
+    """
     try:
         kinds = frame["kinds"]
-        starts = frame["starts"]
-        sizes = frame["sizes"]
-        indices = frame["indices"]
-        pids = frame["pids"]
+        columns = [frame[name] for name in _INT_COLUMNS]
     except KeyError as error:
         raise ProtocolError(f"events frame missing {error}") from error
-    if not (len(kinds) == len(starts) == len(sizes)
-            == len(indices) == len(pids)):
-        raise ProtocolError("events frame columns disagree on length")
-    for kind, start, size, index, pid in zip(
-        kinds, starts, sizes, indices, pids
-    ):
-        yield MemoryAccess(
-            AccessKind.LOAD if kind == "l" else AccessKind.STORE,
-            AddressRange.from_base_size(int(start), int(size)),
-            int(index),
-            int(pid),
+    if type(kinds) is not str:
+        raise ProtocolError("events frame 'kinds' is not a string")
+    count = len(kinds)
+    for name, column in zip(_INT_COLUMNS, columns):
+        if type(column) is not list:
+            raise ProtocolError(f"events frame '{name}' is not an array")
+        if len(column) != count:
+            raise ProtocolError("events frame columns disagree on length")
+    if not count:
+        return kinds, *columns
+    if kinds.count("l") + kinds.count("s") != count:
+        raise ProtocolError(
+            "events frame 'kinds' holds a character other than 'l'/'s'"
         )
+    for name, column in zip(_INT_COLUMNS, columns):
+        # ``type`` (not isinstance) so that JSON true/false are refused.
+        if set(map(type, column)) != {int}:
+            raise ProtocolError(
+                f"events frame '{name}' holds a non-integer entry"
+            )
+    starts, sizes, indices, pids = columns
+    if min(sizes) < 1:
+        raise ProtocolError("events frame holds a size < 1")
+    if min(starts) < 0:
+        raise ProtocolError("events frame holds a start < 0")
+    if max(starts) + max(sizes) - 1 > _INT64_MAX:
+        raise ProtocolError("events frame holds a range beyond 64 bits")
+    for name, column in (("indices", indices), ("pids", pids)):
+        if min(column) < _INT64_MIN or max(column) > _INT64_MAX:
+            raise ProtocolError(
+                f"events frame '{name}' holds an entry beyond 64 bits"
+            )
+    return kinds, starts, sizes, indices, pids
+
+
+def decode_events(frame: dict) -> List[Tuple[int, EventColumns]]:
+    """The ``(pid, EventColumns)`` groups of an ``events`` frame.
+
+    The whole frame is validated first (:func:`_validated_columns`).
+    Groups come in order of each PID's first event, and each keeps its
+    PID's events in stream order.  No :class:`MemoryAccess` is built:
+    the columns go to the shard FIFOs as they are, and
+    :attr:`EventColumns.events` is built only if something asks for it.
+    """
+    kinds, starts, sizes, indices, pids = _validated_columns(frame)
+    if not kinds:
+        return []
+    is_loads = list(map("l".__eq__, kinds))
+    ends = [start + size - 1 for start, size in zip(starts, sizes)]
+    ranges = list(map(AddressRange, starts, ends))
+    first = pids[0]
+    if pids.count(first) == len(pids):
+        return [(first, EventColumns(None, is_loads, ranges, indices, pids))]
+    positions: Dict[int, List[int]] = {}
+    for position, pid in enumerate(pids):
+        positions.setdefault(pid, []).append(position)
+    return [
+        (pid, EventColumns(
+            None,
+            [is_loads[i] for i in group],
+            [ranges[i] for i in group],
+            [indices[i] for i in group],
+            [pid] * len(group),
+        ))
+        for pid, group in positions.items()
+    ]
 
 
 def frame_range(frame: dict) -> AddressRange:

@@ -33,9 +33,11 @@ order is preserved, so verdicts are bit-identical to an unmigrated run.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import fields
 from typing import Dict, List, Optional
 
 from repro.core.config import OverflowPolicy, PIFTConfig
+from repro.core.tracker import KernelCounters
 from repro.serve.shard import ShardError, ShardKey, TrackerShard
 
 
@@ -369,6 +371,13 @@ class ShardRouter:
             "forced_drops": sum(
                 s.buffered.stats.forced_drops for s in self.shards.values()
             ),
+            "kernel": {
+                field.name: sum(
+                    getattr(s.buffered.tracker.kernel, field.name)
+                    for s in self.shards.values()
+                )
+                for field in fields(KernelCounters)
+            },
             "workers": [
                 {
                     "id": worker.id,

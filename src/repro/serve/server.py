@@ -24,7 +24,7 @@ in-line on the same connection, after a blocking drain.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.serve import protocol
 from repro.serve.router import ShardRouter
@@ -51,6 +51,8 @@ class PIFTServer:
         self.shutdown_event = asyncio.Event()
         self.connections_served = 0
         self.frames_received = 0
+        #: ``events`` frames the validator refused (nothing was ingested).
+        self.rejected_frames = 0
         self._servers: list = []
         self.tcp_port: Optional[int] = None
         self.metrics_port: Optional[int] = None
@@ -206,12 +208,14 @@ class PIFTServer:
         device = self._require_device(device)
         router = self.router
         touched = []
-        grouped: Dict[int, list] = {}
-        for event in protocol.decode_events(frame):
-            grouped.setdefault(event.pid, []).append(event)
-        for pid, events in grouped.items():
+        try:
+            groups = protocol.decode_events(frame)
+        except protocol.ProtocolError:
+            self.rejected_frames += 1
+            raise
+        for pid, columns in groups:
             shard = await router.shard_for(device, pid)
-            shard.ingest(events)
+            shard.ingest(columns)
             router.notify_ingest(shard)
             touched.append(shard)
         # Real backpressure: while any touched shard sits above its high
@@ -281,6 +285,7 @@ class PIFTServer:
                 "server": {
                     "connections_served": self.connections_served,
                     "frames_received": self.frames_received,
+                    "rejected_frames": self.rejected_frames,
                     "devices": router.devices(),
                 },
                 **router.stats(),
@@ -357,6 +362,17 @@ class PIFTServer:
         counter("pift_serve_forced_drops",
                 "events lost to overflow policies across live shards",
                 stats["forced_drops"])
+        kernel = stats["kernel"]
+        lines.append("# HELP pift_serve_kernel_events_total events each "
+                     "tracker kernel strategy handled across live shards")
+        lines.append("# TYPE pift_serve_kernel_events_total counter")
+        for strategy in ("skipped", "dense", "scalar"):
+            lines.append(
+                f'pift_serve_kernel_events_total{{strategy="{strategy}"}} '
+                f"{kernel[strategy + '_events']}"
+            )
+        counter("pift_serve_rejected_frames",
+                "events frames refused by the validator", self.rejected_frames)
         counter("pift_serve_connections",
                 "ingestion connections accepted", self.connections_served)
         counter("pift_serve_frames",

@@ -24,12 +24,12 @@ continue the stream with bit-identical verdicts.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.core.buffered import BufferedPIFT
 from repro.core.colours import ColourSpace
 from repro.core.config import OverflowPolicy, PIFTConfig
-from repro.core.events import MemoryAccess
+from repro.core.events import EventColumns, MemoryAccess
 from repro.core.ranges import AddressRange
 
 #: One shard key: the (device_id, pid) pair the router hashes on.
@@ -99,15 +99,16 @@ class TrackerShard:
             self.buffered.taint_source(address_range, pid=pid)
         self.sources_registered += 1
 
-    def ingest(self, events: Iterable[MemoryAccess]) -> int:
-        """Append a chunk of events to the FIFO; returns the count."""
-        on_event = self.buffered.on_memory_event
-        count = 0
-        for event in events:
-            on_event(event)
-            count += 1
-        self.events_ingested += count
-        return count
+    def ingest(
+        self, columns: Union[EventColumns, Iterable[MemoryAccess]]
+    ) -> int:
+        """Append a chunk of events to the FIFO as one column slice;
+        returns the count.  An iterable of events is encoded first."""
+        if not isinstance(columns, EventColumns):
+            columns = EventColumns.from_events(columns)
+        self.buffered.enqueue_columns(columns)
+        self.events_ingested += len(columns)
+        return len(columns)
 
     def check(self, address_range: AddressRange, immediate: bool = False):
         """Answer one sink check.
@@ -176,6 +177,7 @@ class TrackerShard:
             "forced_drops": buffer_stats.forced_drops,
             "degraded": self.buffered.degraded,
             "restores": self.restores,
+            "kernel": self.buffered.tracker.kernel.as_dict(),
         }
 
     # -- migration -------------------------------------------------------

@@ -281,14 +281,16 @@ class TestOverflowPolicies:
         assert buffered.queue_depth == 16
         assert buffered.degraded
         # The newest events survived.
-        assert [e.instruction_index for e in buffered._queue] == list(range(84, 100))
+        queued = buffered.snapshot()["queue"]
+        assert [index for _, _, _, index, _ in queued] == list(range(84, 100))
 
     def test_drop_newest_counts_forced_drops(self):
         buffered = self.fill(OverflowPolicy.DROP_NEWEST)
         assert buffered.stats.forced_drops == 100 - 16
         assert buffered.degraded
         # The oldest events survived.
-        assert [e.instruction_index for e in buffered._queue] == list(range(16))
+        queued = buffered.snapshot()["queue"]
+        assert [index for _, _, _, index, _ in queued] == list(range(16))
 
     def test_spill_loses_nothing(self):
         buffered = self.fill(OverflowPolicy.SPILL)

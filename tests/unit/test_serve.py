@@ -12,6 +12,7 @@ import asyncio
 
 import pytest
 
+from repro.analysis.replay import replay
 from repro.android.device import RecordedRun, SinkCheck, SourceRegistration
 from repro.core.config import OverflowPolicy, PIFTConfig
 from repro.core.events import EventTrace, load, store
@@ -26,6 +27,7 @@ from repro.serve.client import (
 from repro.serve.fleet import run_fleet, run_fleet_sync
 from repro.serve.router import ShardRouter
 from repro.serve.server import PIFTServer
+from repro.telemetry import Telemetry
 
 CONFIG = PIFTConfig(5, 2)
 
@@ -172,6 +174,42 @@ class TestHandshakeAndErrors:
         assert first["op"] == "error" and "unparseable" in first["error"]
         assert second["op"] == "error" and "frobnicate" in second["error"]
         assert third["op"] == "welcome"
+
+
+class TestHostileFrames:
+    def test_bad_events_frame_is_refused_whole_and_stream_continues(
+        self, tmp_path
+    ):
+        recorded = make_run(pids=(0, 5))
+        bad = protocol.events_frame(
+            [load(0x1000, 0x1003, 1), store(0x8000, 0x8003, 2, pid=5)]
+        )
+        bad["starts"][1] = None  # the pid-0 group alone would be valid
+
+        async def scenario():
+            async with Daemon(tmp_path) as daemon:
+                client = await DeviceClient.connect(
+                    "dev-a", unix_path=daemon.path
+                )
+                with pytest.raises(ServeClientError, match="non-integer"):
+                    await client.request(bad, "verdict")
+                verdicts = await client.stream_run(recorded)
+                admin = await AdminClient.connect(unix_path=daemon.path)
+                stats = await admin.stats()
+                await admin.close()
+                bye = await client.end()
+                return verdicts, stats, bye
+
+        verdicts, stats, bye = asyncio.run(scenario())
+        want = [
+            protocol.outcome_key(o)
+            for o in replay(recorded, CONFIG).sink_outcomes
+        ]
+        assert [protocol.verdict_key(v) for v in verdicts] == want
+        assert bye["op"] == "bye" and bye["verdicts"] == len(want)
+        assert stats["server"]["rejected_frames"] == 1
+        # All-or-nothing: no event of the refused frame reached a shard.
+        assert stats["events_ingested"] == len(recorded.trace.events)
 
 
 class TestStreamAndQuery:
@@ -369,6 +407,60 @@ class TestMetricsScrape:
         assert "pift_serve_events_ingested_total" in ok_body
         assert "pift_serve_checks_answered_total" in ok_body
         assert miss_head.startswith("HTTP/1.0 404")
+
+
+class TestKernelObservability:
+    def test_kernel_counters_cover_every_ingested_event(self, tmp_path):
+        # One run per device, so no reset drops a shard before stats.
+        async def scenario():
+            async with Daemon(tmp_path, metrics=True) as daemon:
+                report = await run_fleet(
+                    make_suite(3), devices=3, unix_path=daemon.path
+                )
+                while daemon.router.stats()["queue_depth"]:
+                    await asyncio.sleep(0.01)
+                admin = await AdminClient.connect(unix_path=daemon.path)
+                stats = await admin.stats()
+                shards = [
+                    shard
+                    for device in stats["server"]["devices"]
+                    for shard in (await admin.query(device))["shards"]
+                ]
+                await admin.close()
+                _head, body = await TestMetricsScrape()._get(
+                    daemon.server.metrics_port, "/metrics"
+                )
+                return report, stats, shards, body
+
+        report, stats, shards, body = asyncio.run(scenario())
+        assert report["parity"] is True
+        assert shards
+        for shard in shards:
+            kernel = shard["kernel"]
+            assert (
+                kernel["skipped_events"] + kernel["dense_events"]
+                + kernel["scalar_events"]
+            ) == shard["events_ingested"]
+            assert kernel["scalar_events"] > 0
+        assert stats["kernel"]["scalar_events"] == sum(
+            shard["kernel"]["scalar_events"] for shard in shards
+        )
+        scalar = stats["kernel"]["scalar_events"]
+        assert (
+            f'pift_serve_kernel_events_total{{strategy="scalar"}} {scalar}'
+            in body
+        )
+        assert "pift_serve_rejected_frames_total 0" in body
+
+    def test_telemetered_fleet_stays_byte_identical(self):
+        # A live hub binds the tracker's per-event shadow, so drains take
+        # the per-event fallback through the lazily built events.
+        report = run_fleet_sync(
+            make_suite(), devices=3, telemetry=Telemetry()
+        )
+        assert report["parity"] is True
+        assert report["server_stats"]["events_ingested"] > 0
+        assert report["server_stats"]["kernel"]["scalar_events"] == 0
 
 
 class TestFleetParity:

@@ -28,6 +28,15 @@ from repro.store.suitefile import (
 CONFIG = PIFTConfig(5, 2)
 
 
+def decoded_events(frame):
+    """The materialised events of every (pid, columns) group of a frame."""
+    return [
+        event
+        for _pid, columns in protocol.decode_events(frame)
+        for event in columns.events
+    ]
+
+
 def make_run(pids=(0,), rounds=6, leak=True):
     """A synthetic multi-PID recorded run with one check per PID."""
     events, sources, checks = [], [], []
@@ -87,14 +96,59 @@ class TestFrames:
 
     def test_events_frame_round_trip(self):
         events = [load(0x10, 0x13, 1, 0), store(0x20, 0x23, 2, 7)]
-        decoded = list(protocol.decode_events(protocol.events_frame(events)))
+        decoded = decoded_events(protocol.events_frame(events))
         assert decoded == events
 
     def test_events_frame_length_mismatch_rejected(self):
         frame = protocol.events_frame([load(0x10, 0x13, 1, 0)])
         frame["pids"] = []
         with pytest.raises(protocol.ProtocolError, match="length"):
-            list(protocol.decode_events(frame))
+            decoded_events(frame)
+
+    def test_decode_groups_by_pid_in_stream_order(self):
+        events = [
+            load(0x10, 0x13, 1, 3), store(0x20, 0x23, 2, 0),
+            store(0x30, 0x33, 4, 3), load(0x40, 0x47, 5, 0),
+        ]
+        groups = protocol.decode_events(protocol.events_frame(events))
+        assert [pid for pid, _ in groups] == [3, 0]
+        assert [list(columns.events) for _, columns in groups] == [
+            [events[0], events[2]], [events[1], events[3]],
+        ]
+        assert protocol.decode_events(protocol.events_frame([])) == []
+
+    @pytest.mark.parametrize("column, position, value, reason", [
+        ("sizes", None, None, "missing 'sizes'"),
+        ("indices", 2, 9, "length"),
+        ("kinds", None, ["l", "s"], "'kinds' is not a string"),
+        ("kinds", None, "lx", "other than 'l'/'s'"),
+        ("pids", None, {"a": 1}, "'pids' is not an array"),
+        ("starts", 0, None, "'starts' holds a non-integer"),
+        ("pids", 1, True, "'pids' holds a non-integer"),
+        ("indices", 0, 1.0, "'indices' holds a non-integer"),
+        ("indices", 0, "1", "'indices' holds a non-integer"),
+        ("sizes", 1, 0, "size < 1"),
+        ("starts", 0, -4, "start < 0"),
+        ("indices", 0, 1 << 64, "beyond 64 bits"),
+        ("starts", 0, (1 << 63) - 2, "range beyond 64 bits"),
+    ])
+    def test_bad_events_frames_rejected_with_a_reason(
+        self, column, position, value, reason
+    ):
+        frame = protocol.events_frame(
+            [load(0x10, 0x13, 1, 0), store(0x20, 0x23, 2, 7)]
+        )
+        if position is None and value is None:
+            del frame[column]
+        elif position is None:
+            frame[column] = value
+        elif position == len(frame[column]):
+            frame[column].append(value)
+        else:
+            frame[column][position] = value
+        with pytest.raises(protocol.ProtocolError) as error:
+            protocol.decode_events(frame)
+        assert reason in str(error.value)
 
     def test_frame_range_rejects_missing_fields(self):
         with pytest.raises(protocol.ProtocolError):
@@ -111,7 +165,7 @@ class TestRunToFrames:
         # in recorded order.
         events = [
             e for f in frames if f["op"] == "events"
-            for e in protocol.decode_events(f)
+            for e in decoded_events(f)
         ]
         assert events == recorded.trace.events
         names = [f["name"] for f in frames if f["op"] == "source"]
