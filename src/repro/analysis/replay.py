@@ -18,7 +18,7 @@ replay many.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import PIFTConfig
 from repro.core.ranges import RangeSet
@@ -123,11 +123,17 @@ def build_replay_plan(recorded: RecordedRun) -> ReplayPlan:
 
 
 def replay_plan_for(recorded: RecordedRun) -> ReplayPlan:
-    """The run's cached plan, rebuilt if the run grew since last use."""
+    """The run's cached plan, rebuilt if its sources, sink checks or
+    trace length changed since last use.
+
+    Sources and checks are frozen records, so the key holds their
+    contents: swapping one in place (or editing a deep copy, which
+    carries the cache along) compares unequal, not just a grown list.
+    """
     cached = getattr(recorded, "_replay_plan", None)
     key = (
-        len(recorded.sources),
-        len(recorded.sink_checks),
+        tuple(recorded.sources),
+        tuple(recorded.sink_checks),
         len(recorded.trace),
     )
     if cached is None or cached[0] != key:
@@ -204,41 +210,58 @@ def replay(
         telemetry=telemetry,
     )
     result = ReplayResult(config=config, stats=tracker.stats)
-    plan = replay_plan_for(recorded)
-    sources = plan.sources
-    checks = plan.checks
     taint_source = tracker.taint_source
     check_taint = tracker.check
-    outcomes = result.sink_outcomes
-    source_i = check_i = 0
 
-    def drain(sources_due: int, checks_due: int) -> None:
-        nonlocal source_i, check_i
-        for source in sources[source_i:source_i + sources_due]:
-            taint_source(source.address_range, pid=source.pid)
-        source_i += sources_due
-        for check in checks[check_i:check_i + checks_due]:
-            outcomes.append(
-                SinkOutcome(
-                    sink_name=check.sink_name,
-                    channel=check.channel,
-                    instruction_index=check.instruction_index,
-                    tainted=check_taint(check.address_range, pid=check.pid),
-                    pid=check.pid,
-                )
-            )
-        check_i += checks_due
+    def judge(check) -> SinkOutcome:
+        return SinkOutcome(
+            sink_name=check.sink_name,
+            channel=check.channel,
+            instruction_index=check.instruction_index,
+            tainted=check_taint(check.address_range, pid=check.pid),
+            pid=check.pid,
+        )
 
+    _walk_plan(
+        tracker,
+        recorded,
+        replay_plan_for(recorded),
+        lambda source: taint_source(source.address_range, pid=source.pid),
+        judge,
+        result.sink_outcomes,
+    )
+    return result
+
+
+def _walk_plan(
+    tracker: PIFTTracker,
+    recorded: RecordedRun,
+    plan: ReplayPlan,
+    register: Callable,
+    judge: Callable,
+    outcomes: List[SinkOutcome],
+) -> None:
+    """Replay ``recorded`` through ``tracker`` along ``plan``.
+
+    Event segments between boundaries run through the column path; at
+    each boundary the due sources go to ``register`` and the due checks
+    to ``judge``, whose outcomes are appended to ``outcomes``.
+    """
+    sources = plan.sources
+    checks = plan.checks
     columns = recorded.trace.columns()
-    position = 0
-    for boundary, sources_due, checks_due in plan.boundaries:
+    position = source_i = check_i = 0
+    final = ((len(columns), plan.final_sources, plan.final_checks),)
+    for boundary, sources_due, checks_due in plan.boundaries + final:
         if boundary > position:
             tracker.observe_columns(columns, position, boundary)
             position = boundary
-        drain(sources_due, checks_due)
-    tracker.observe_columns(columns, position, len(columns))
-    drain(plan.final_sources, plan.final_checks)
-    return result
+        for source in sources[source_i:source_i + sources_due]:
+            register(source)
+        source_i += sources_due
+        for check in checks[check_i:check_i + checks_due]:
+            outcomes.append(judge(check))
+        check_i += checks_due
 
 
 def source_colour(source) -> str:
@@ -267,46 +290,33 @@ def replay_coloured(
     tracker = ColourTracker(config, record_timeline=record_timeline)
     result = ReplayResult(config=config, stats=tracker.stats)
     plan = replay_plan_for(recorded)
-    sources = plan.sources
-    checks = plan.checks
-    for source in sources:
+    for source in plan.sources:
         tracker.colours.register(source_colour(source))
     taint_source = tracker.taint_source
     check_mask = tracker.check_mask
     names_for = tracker.colours.names_for
-    outcomes = result.sink_outcomes
-    source_i = check_i = 0
 
-    def drain(sources_due: int, checks_due: int) -> None:
-        nonlocal source_i, check_i
-        for source in sources[source_i:source_i + sources_due]:
-            taint_source(
-                source.address_range,
-                pid=source.pid,
-                colour=source_colour(source),
-            )
-        source_i += sources_due
-        for check in checks[check_i:check_i + checks_due]:
-            mask = check_mask(check.address_range, pid=check.pid)
-            outcomes.append(
-                SinkOutcome(
-                    sink_name=check.sink_name,
-                    channel=check.channel,
-                    instruction_index=check.instruction_index,
-                    tainted=bool(mask),
-                    pid=check.pid,
-                    colours=names_for(mask),
-                )
-            )
-        check_i += checks_due
+    def judge(check) -> SinkOutcome:
+        mask = check_mask(check.address_range, pid=check.pid)
+        return SinkOutcome(
+            sink_name=check.sink_name,
+            channel=check.channel,
+            instruction_index=check.instruction_index,
+            tainted=bool(mask),
+            pid=check.pid,
+            colours=names_for(mask),
+        )
 
-    columns = recorded.trace.columns()
-    position = 0
-    for boundary, sources_due, checks_due in plan.boundaries:
-        if boundary > position:
-            tracker.observe_columns(columns, position, boundary)
-            position = boundary
-        drain(sources_due, checks_due)
-    tracker.observe_columns(columns, position, len(columns))
-    drain(plan.final_sources, plan.final_checks)
+    _walk_plan(
+        tracker,
+        recorded,
+        plan,
+        lambda source: taint_source(
+            source.address_range,
+            pid=source.pid,
+            colour=source_colour(source),
+        ),
+        judge,
+        result.sink_outcomes,
+    )
     return result

@@ -175,6 +175,14 @@ class RangeSet:
         """The per-load taint lookup: does any stored range overlap ``query``?"""
         return self._candidate_index(query) is not None
 
+    def mask_overlapping(self, query: AddressRange) -> int:
+        """The per-load lookup as a colour mask: 1 when any stored range
+        overlaps ``query``, else 0.  A plain set is the one-colour case
+        of :class:`~repro.core.colours.ColourRangeSet`, so one Algorithm 1
+        loop serves both."""
+        idx = bisect.bisect_right(self._starts, query.end) - 1
+        return 1 if idx >= 0 and self._ends[idx] >= query.start else 0
+
     def overlapping(self, query: AddressRange) -> List[AddressRange]:
         """All stored ranges that overlap ``query`` (for sink diagnostics)."""
         result: List[AddressRange] = []
@@ -231,8 +239,10 @@ class RangeSet:
 
     # -- mutations -------------------------------------------------------
 
-    def add(self, item: AddressRange) -> None:
-        """Taint ``item``, merging with overlapping/adjacent stored ranges."""
+    def add(self, item: AddressRange, mask: int = 1) -> None:
+        """Taint ``item``, merging with overlapping/adjacent stored ranges.
+
+        ``mask`` is accepted and ignored: a plain set holds one colour."""
         start, end = item.start, item.end
         # Find the window of stored ranges that the new range touches
         # (overlap or adjacency), then replace them with one merged range.

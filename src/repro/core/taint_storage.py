@@ -126,7 +126,13 @@ class BoundedRangeCache:
             return True
         return False
 
-    def add(self, item: AddressRange) -> None:
+    def mask_overlapping(self, query: AddressRange) -> int:
+        """:meth:`overlaps` as a one-colour mask (1 or 0); one lookup, so
+        the LRU order and :class:`StorageStats` move exactly as theirs."""
+        return 1 if self.overlaps(query) else 0
+
+    def add(self, item: AddressRange, mask: int = 1) -> None:
+        # ``mask`` is ignored: the range cache holds one colour.
         item = self._quantize_out(item)
         # The new range may also subsume spilled state; fold it back in so
         # on-chip and secondary views never disagree about the same bytes.

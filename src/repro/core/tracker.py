@@ -41,12 +41,23 @@ StateFactory = Callable[[], "TaintStateLike"]
 
 
 class TaintStateLike:
-    """Structural interface the tracker requires of its taint state."""
+    """Structural interface the tracker requires of its taint state.
+
+    Algorithm 1 runs once, over colour masks: a load asks
+    ``mask_overlapping`` (the OR of the overlapped ranges' colour masks;
+    0 means untainted) and an in-window store calls ``add(item, mask)``
+    with its window's mask.  Plain states are the one-colour case: they
+    answer 0 or 1 and ignore the mask.  ``overlaps`` is the untaint and
+    sink-check test.
+    """
 
     def overlaps(self, query: AddressRange) -> bool:  # pragma: no cover
         raise NotImplementedError
 
-    def add(self, item: AddressRange) -> None:  # pragma: no cover
+    def mask_overlapping(self, query: AddressRange) -> int:  # pragma: no cover
+        raise NotImplementedError
+
+    def add(self, item: AddressRange, mask: int) -> None:  # pragma: no cover
         raise NotImplementedError
 
     def remove(self, item: AddressRange) -> None:  # pragma: no cover
@@ -201,9 +212,20 @@ class _WindowState:
     #: the currently live window?  Never touched when telemetry is off.
     telemetry_open: bool = False
     #: Colour mask carried by the live window (the OR of the masks of
-    #: every tainted range the window-opening load overlapped).  Only the
-    #: coloured tracker reads or writes it; the plain tracker leaves it 0.
+    #: every tainted range the window-opening load overlapped); 1 on a
+    #: plain state, which holds one colour.
     colour_mask: int = 0
+
+    def covers(self, k: int, window_size: int) -> bool:
+        """Is instruction ``k`` inside the tainting window?
+
+        The window is the NI instructions *following* the tainted load
+        (§3.1), so both edges are checked: a store whose per-PID index
+        regressed below the window-opening load (an out-of-order front
+        end, a counter reset) is outside it.
+        """
+        last = self.last_tainted_load
+        return last is not None and last <= k <= last + window_size
 
 
 class _TrackerInstruments:
@@ -271,12 +293,6 @@ class PIFTTracker:
             When active, per-event counters, taint-state gauges, and
             per-mutation JSONL events are recorded.
     """
-
-    #: Execution-strategy discriminator read by the vectorised kernel:
-    #: :class:`ColourTracker` flips it so the dense executor carries
-    #: colour masks.  A class attribute, not config — colour support
-    #: changes the state representation, not the parameters.
-    _coloured = False
 
     def __init__(
         self,
@@ -432,24 +448,21 @@ class PIFTTracker:
 
         if event.is_load:
             self.stats.loads_observed += 1
-            if state.overlaps(event.address_range):
-                # Tainted load: start (or restart) the tainting window.
+            mask = state.mask_overlapping(event.address_range)
+            if mask:
+                # Tainted load: start (or restart) the tainting window,
+                # carrying the colours the load read.
                 window.last_tainted_load = k
                 window.propagations = 0
+                window.colour_mask = mask
                 self.stats.tainted_loads += 1
         else:
             self.stats.stores_observed += 1
-            # The tainting window is the NI instructions *following* the
-            # tainted load (§3.1), so both edges are checked: a store whose
-            # per-PID index regressed below the window-opening load (an
-            # out-of-order front-end, a counter reset) is outside it.
-            in_window = (
-                window.last_tainted_load is not None
-                and window.last_tainted_load <= k
-                and k <= window.last_tainted_load + self.config.window_size
-            )
-            if in_window and window.propagations < self.config.max_propagations:
-                state.add(event.address_range)
+            if (
+                window.covers(k, self.config.window_size)
+                and window.propagations < self.config.max_propagations
+            ):
+                state.add(event.address_range, window.colour_mask)
                 window.propagations += 1
                 self.stats.taint_operations += 1
                 self._after_mutation(event.pid, k)
@@ -506,10 +519,11 @@ class PIFTTracker:
           back to per-event calls so instrumentation stays exact;
         * the vectorised pre-filter kernel (:mod:`repro.core.vectorized`)
           when ``config.vectorized`` is on, the slice is long enough to
-          amortise the numpy setup, and the taint backend is the
-          unbounded :class:`~repro.core.ranges.RangeSet` (bounded
-          hardware models mutate on queries/eviction, so skipping their
-          calls would change behaviour);
+          amortise the numpy setup, and the taint backend is an
+          unbounded :class:`~repro.core.ranges.RangeSet` or
+          :class:`~repro.core.colours.ColourRangeSet` (bounded hardware
+          models mutate on queries/eviction, so skipping their calls
+          would change behaviour);
         * the scalar loop (:meth:`observe_columns_scalar`) otherwise.
         """
         if "observe" in self.__dict__:
@@ -522,7 +536,7 @@ class PIFTTracker:
         if (
             self.config.vectorized
             and stop - start >= _VECTORIZED_MIN_EVENTS
-            and self._state_factory is RangeSet
+            and self._state_factory in (RangeSet, ColourRangeSet)
             and vectorized.HAVE_NUMPY
         ):
             vectorized.observe_columns(self, columns, start, stop)
@@ -535,7 +549,8 @@ class PIFTTracker:
         """Force the numpy pre-filter kernel regardless of slice length.
 
         Differential-test / benchmark hook; requires numpy and
-        :class:`~repro.core.ranges.RangeSet`-backed taint states.
+        :class:`~repro.core.ranges.RangeSet` or
+        :class:`~repro.core.colours.ColourRangeSet` taint states.
         """
         if stop is None:
             stop = len(columns)
@@ -554,376 +569,10 @@ class PIFTTracker:
         the loop, so the other PIDs' byte and range totals are summed
         once per PID switch (lazily, at its first mutation) and the
         current state's own counts are added on top.  The vectorised
-        kernel drops into this loop around relevant events.
+        kernel drops into this loop around relevant events.  Loads take
+        their window's colour mask from ``mask_overlapping`` and stores
+        taint with it, so plain and coloured states share the loop.
         """
-        if "observe" in self.__dict__:
-            observe = self.observe
-            for event in columns.events[start:stop]:
-                observe(event)
-            return
-        if stop is None:
-            stop = len(columns)
-        self.kernel.scalar_events += stop - start
-        window_size = self.config.window_size
-        max_propagations = self.config.max_propagations
-        untainting = self.config.untainting
-        stats = self.stats
-        states = self._states
-        windows = self._windows
-        state_values = states.values()
-        record_timeline = self._record_timeline
-        timeline = stats.timeline
-        is_loads = columns.is_loads
-        ranges = columns.ranges
-        indices = columns.indices
-        pids = columns.pids
-        loads = stats.loads_observed
-        stores = stats.stores_observed
-        tainted_loads = stats.tainted_loads
-        taints = stats.taint_operations
-        untaints = stats.untaint_operations
-        instructions = stats.instructions_observed
-        max_tainted = stats.max_tainted_bytes
-        max_ranges = stats.max_range_count
-        current_pid: Optional[int] = None
-        window: _WindowState = None  # type: ignore[assignment]
-        # Tainted bytes / ranges held by every PID but the current one;
-        # None until the current PID's first mutation.
-        other_size = other_count = None
-        overlaps = add = remove = None
-        try:
-            for i in range(start, stop):
-                pid = pids[i]
-                if pid != current_pid:
-                    state = states.get(pid)
-                    if state is None:
-                        state = states[pid] = self._state_factory()
-                        windows[pid] = _WindowState()
-                    window = windows[pid]
-                    overlaps = state.overlaps
-                    add = state.add
-                    remove = state.remove
-                    current_pid = pid
-                    other_size = None
-                k = indices[i]
-                if k >= window.instructions_retired:
-                    instructions += k + 1 - window.instructions_retired
-                    window.instructions_retired = k + 1
-                address_range = ranges[i]
-                if is_loads[i]:
-                    loads += 1
-                    if overlaps(address_range):
-                        window.last_tainted_load = k
-                        window.propagations = 0
-                        tainted_loads += 1
-                    continue
-                stores += 1
-                last = window.last_tainted_load
-                if (
-                    last is not None
-                    and last <= k <= last + window_size
-                    and window.propagations < max_propagations
-                ):
-                    add(address_range)
-                    window.propagations += 1
-                    taints += 1
-                elif untainting and overlaps(address_range):
-                    remove(address_range)
-                    untaints += 1
-                else:
-                    continue
-                if other_size is None:
-                    other_size = other_count = 0
-                    for other in state_values:
-                        if other is not state:
-                            other_size += other.total_size
-                            other_count += other.range_count
-                size = other_size + state.total_size
-                count = other_count + state.range_count
-                if size > max_tainted:
-                    max_tainted = size
-                if count > max_ranges:
-                    max_ranges = count
-                if record_timeline:
-                    timeline.append(
-                        TimelinePoint(
-                            instruction_index=k,
-                            tainted_bytes=size,
-                            range_count=count,
-                            cumulative_operations=taints + untaints,
-                        )
-                    )
-        finally:
-            stats.loads_observed = loads
-            stats.stores_observed = stores
-            stats.tainted_loads = tainted_loads
-            stats.taint_operations = taints
-            stats.untaint_operations = untaints
-            stats.instructions_observed = instructions
-            stats.max_tainted_bytes = max_tainted
-            stats.max_range_count = max_ranges
-
-    # -- telemetry shadow methods ---------------------------------------
-    #
-    # Bound over the plain methods (as instance attributes) only when a
-    # live telemetry hub is attached.  They delegate to the unmodified
-    # Algorithm-1 code above and derive what happened from the stats
-    # deltas, so the algorithm exists exactly once and the disabled hot
-    # path carries no telemetry branches at all.
-
-    def _observe_with_telemetry(self, event: MemoryAccess) -> None:
-        stats = self.stats
-        before_tainted_loads = stats.tainted_loads
-        before_taints = stats.taint_operations
-        before_untaints = stats.untaint_operations
-        type(self).observe(self, event)
-        ins = self._instruments
-        ins.events.inc()
-        k = event.instruction_index
-        window = self._windows[event.pid]
-        if event.is_load:
-            ins.loads.inc()
-            if stats.tainted_loads != before_tainted_loads:
-                ins.tainted_loads.inc()
-                if not window.telemetry_open:
-                    window.telemetry_open = True
-                    ins.windows_opened.inc()
-                    self._tel.event(
-                        "window_open",
-                        pid=event.pid,
-                        index=k,
-                        start=event.address_range.start,
-                        size=event.address_range.size,
-                    )
-            return
-        ins.stores.inc()
-        mutated = True
-        if stats.taint_operations != before_taints:
-            ins.taint_ops.inc()
-            self._tel.event(
-                "taint",
-                pid=event.pid,
-                index=k,
-                start=event.address_range.start,
-                size=event.address_range.size,
-                propagation=window.propagations,
-            )
-        elif stats.untaint_operations != before_untaints:
-            ins.untaint_ops.inc()
-            self._tel.event(
-                "untaint",
-                pid=event.pid,
-                index=k,
-                start=event.address_range.start,
-                size=event.address_range.size,
-            )
-        else:
-            mutated = False
-        in_window = (
-            window.last_tainted_load is not None
-            and window.last_tainted_load <= k
-            and k <= window.last_tainted_load + self.config.window_size
-        )
-        if not in_window and window.telemetry_open:
-            # First out-of-window store after a live window: close it.  (A
-            # window can also lapse with no further store; such windows
-            # are only closed — and counted — when store traffic resumes.)
-            window.telemetry_open = False
-            ins.windows_closed.inc()
-            self._tel.event(
-                "window_close",
-                pid=event.pid,
-                index=k,
-                opened_at=window.last_tainted_load,
-                propagations=window.propagations,
-            )
-        if mutated:
-            ins.tainted_bytes.set(self.tainted_bytes)
-            ins.range_count.set(self.range_count)
-
-    def _taint_source_with_telemetry(
-        self, address_range: AddressRange, pid: int = 0, **kwargs
-    ) -> None:
-        # Extra keyword arguments (the coloured tracker's ``colour``)
-        # pass straight through to the real registration.
-        type(self).taint_source(self, address_range, pid=pid, **kwargs)
-        ins = self._instruments
-        ins.sources.inc()
-        ins.tainted_bytes.set(self.tainted_bytes)
-        ins.range_count.set(self.range_count)
-        self._tel.event(
-            "source_taint",
-            pid=pid,
-            index=self.stats.instructions_observed,
-            start=address_range.start,
-            size=address_range.size,
-        )
-
-    def _check_with_telemetry(
-        self, address_range: AddressRange, pid: int = 0
-    ) -> bool:
-        self._instruments.checks.inc()
-        return type(self).check(self, address_range, pid=pid)
-
-    # -- bookkeeping -----------------------------------------------------
-
-    def _after_mutation(self, pid: int, instruction_index: int) -> None:
-        size = self.tainted_bytes
-        count = self.range_count
-        if size > self.stats.max_tainted_bytes:
-            self.stats.max_tainted_bytes = size
-        if count > self.stats.max_range_count:
-            self.stats.max_range_count = count
-        if self._record_timeline:
-            self.stats.timeline.append(
-                TimelinePoint(
-                    instruction_index=instruction_index,
-                    tainted_bytes=size,
-                    range_count=count,
-                    cumulative_operations=self.stats.total_operations,
-                )
-            )
-
-
-class ColourTracker(PIFTTracker):
-    """Algorithm 1 with per-source provenance labels ("colours").
-
-    Sources register with a colour name (:meth:`taint_source`'s
-    ``colour``); taint state is a :class:`~repro.core.colours.ColourRangeSet`
-    whose intervals carry 64-bit colour masks.  A tainted load's window
-    carries the OR of every overlapped range's mask; in-window stores
-    taint their target with that window mask; untainting removes bytes
-    wholesale — so the tainted/untainted *classification* of every event
-    never consults masks, only coverage.  The union projection (any
-    non-zero mask == tainted) of a coloured run is therefore
-    byte-identical to a plain :class:`PIFTTracker` on the same trace:
-    identical verdicts and counters, with ``max_range_count`` the single
-    permitted exception under multiple live colours (equal-mask-only
-    coalescing can keep more intervals).  With one registered colour,
-    every counter — including ``max_range_count`` — is identical
-    (``tests/property/test_colour_parity.py``).
-
-    Sink queries gain :meth:`check_mask` / :meth:`check_colours` for
-    attribution; the inherited boolean :meth:`check` is unchanged.
-    """
-
-    _coloured = True
-
-    def __init__(
-        self,
-        config: PIFTConfig,
-        colours: Optional[ColourSpace] = None,
-        record_timeline: bool = False,
-        telemetry: Optional["Telemetry"] = None,
-    ) -> None:
-        super().__init__(
-            config,
-            state_factory=ColourRangeSet,
-            record_timeline=record_timeline,
-            telemetry=telemetry,
-        )
-        self.colours = colours if colours is not None else ColourSpace()
-
-    # -- labelled sources and sink queries -------------------------------
-
-    def taint_source(
-        self,
-        address_range: AddressRange,
-        pid: int = 0,
-        colour: Optional[str] = None,
-    ) -> None:
-        """Source registration carrying a colour label.
-
-        ``colour`` defaults to ``"source"`` so colour-unaware callers
-        (the base class's API) still get a well-formed single-colour run.
-        """
-        mask = self.colours.register("source" if colour is None else colour)
-        self.state(pid).add(address_range, mask)
-        self._after_mutation(
-            pid, instruction_index=self.stats.instructions_observed
-        )
-
-    def check_mask(self, address_range: AddressRange, pid: int = 0) -> int:
-        """Sink query: OR of the colour masks overlapping ``address_range``."""
-        return self.state(pid).mask_overlapping(address_range)
-
-    def check_colours(
-        self, address_range: AddressRange, pid: int = 0
-    ) -> Tuple[str, ...]:
-        """Sink query: contributing source names, in registration order."""
-        return self.colours.names_for(
-            self.check_mask(address_range, pid=pid)
-        )
-
-    # -- Algorithm 1, mask-carrying --------------------------------------
-
-    def observe(self, event: MemoryAccess) -> None:
-        """Per-event Algorithm 1; identical control flow to the base
-        tracker, with the window additionally carrying the colour mask of
-        its opening load and in-window stores tainting with it."""
-        state = self.state(event.pid)
-        window = self._windows[event.pid]
-        k = event.instruction_index
-        if k >= window.instructions_retired:
-            self.stats.instructions_observed += (
-                k + 1 - window.instructions_retired
-            )
-            window.instructions_retired = k + 1
-
-        if event.is_load:
-            self.stats.loads_observed += 1
-            mask = state.mask_overlapping(event.address_range)
-            if mask:
-                window.last_tainted_load = k
-                window.propagations = 0
-                window.colour_mask = mask
-                self.stats.tainted_loads += 1
-        else:
-            self.stats.stores_observed += 1
-            in_window = (
-                window.last_tainted_load is not None
-                and window.last_tainted_load <= k
-                and k <= window.last_tainted_load + self.config.window_size
-            )
-            if in_window and window.propagations < self.config.max_propagations:
-                state.add(event.address_range, window.colour_mask)
-                window.propagations += 1
-                self.stats.taint_operations += 1
-                self._after_mutation(event.pid, k)
-            elif self.config.untainting:
-                if state.overlaps(event.address_range):
-                    state.remove(event.address_range)
-                    self.stats.untaint_operations += 1
-                    self._after_mutation(event.pid, k)
-
-    def observe_columns(
-        self, columns: EventColumns, start: int = 0, stop: Optional[int] = None
-    ) -> None:
-        """Same three-way dispatch as the base tracker, but the kernel
-        gate requires the coloured state factory (the dense executor
-        carries masks when :attr:`_coloured` is set)."""
-        if "observe" in self.__dict__:
-            observe = self.observe
-            for event in columns.events[start:stop]:
-                observe(event)
-            return
-        if stop is None:
-            stop = len(columns)
-        if (
-            self.config.vectorized
-            and stop - start >= _VECTORIZED_MIN_EVENTS
-            and self._state_factory is ColourRangeSet
-            and vectorized.HAVE_NUMPY
-        ):
-            vectorized.observe_columns(self, columns, start, stop)
-            return
-        self.observe_columns_scalar(columns, start, stop)
-
-    def observe_columns_scalar(
-        self, columns: EventColumns, start: int = 0, stop: Optional[int] = None
-    ) -> None:
-        """The exact coloured scalar loop (the base loop plus mask
-        lookup/carry; same hoisting and bookkeeping discipline)."""
         if "observe" in self.__dict__:
             observe = self.observe
             for event in columns.events[start:stop]:
@@ -1033,6 +682,200 @@ class ColourTracker(PIFTTracker):
             stats.instructions_observed = instructions
             stats.max_tainted_bytes = max_tainted
             stats.max_range_count = max_ranges
+
+    # -- telemetry shadow methods ---------------------------------------
+    #
+    # Bound over the plain methods (as instance attributes) only when a
+    # live telemetry hub is attached.  They delegate to the unmodified
+    # Algorithm-1 code above and derive what happened from the stats
+    # deltas, so the algorithm exists exactly once and the disabled hot
+    # path carries no telemetry branches at all.
+
+    def _observe_with_telemetry(self, event: MemoryAccess) -> None:
+        stats = self.stats
+        before_tainted_loads = stats.tainted_loads
+        before_taints = stats.taint_operations
+        before_untaints = stats.untaint_operations
+        type(self).observe(self, event)
+        ins = self._instruments
+        ins.events.inc()
+        k = event.instruction_index
+        window = self._windows[event.pid]
+        if event.is_load:
+            ins.loads.inc()
+            if stats.tainted_loads != before_tainted_loads:
+                ins.tainted_loads.inc()
+                if not window.telemetry_open:
+                    window.telemetry_open = True
+                    ins.windows_opened.inc()
+                    self._tel.event(
+                        "window_open",
+                        pid=event.pid,
+                        index=k,
+                        start=event.address_range.start,
+                        size=event.address_range.size,
+                    )
+            return
+        ins.stores.inc()
+        mutated = True
+        if stats.taint_operations != before_taints:
+            ins.taint_ops.inc()
+            self._tel.event(
+                "taint",
+                pid=event.pid,
+                index=k,
+                start=event.address_range.start,
+                size=event.address_range.size,
+                propagation=window.propagations,
+            )
+        elif stats.untaint_operations != before_untaints:
+            ins.untaint_ops.inc()
+            self._tel.event(
+                "untaint",
+                pid=event.pid,
+                index=k,
+                start=event.address_range.start,
+                size=event.address_range.size,
+            )
+        else:
+            mutated = False
+        if window.telemetry_open and not window.covers(
+            k, self.config.window_size
+        ):
+            # First out-of-window store after a live window: close it.  (A
+            # window can also lapse with no further store; such windows
+            # are only closed — and counted — when store traffic resumes.)
+            window.telemetry_open = False
+            ins.windows_closed.inc()
+            self._tel.event(
+                "window_close",
+                pid=event.pid,
+                index=k,
+                opened_at=window.last_tainted_load,
+                propagations=window.propagations,
+            )
+        if mutated:
+            ins.tainted_bytes.set(self.tainted_bytes)
+            ins.range_count.set(self.range_count)
+
+    def _taint_source_with_telemetry(
+        self, address_range: AddressRange, pid: int = 0, **kwargs
+    ) -> None:
+        # Extra keyword arguments (the coloured tracker's ``colour``)
+        # pass straight through to the real registration.
+        type(self).taint_source(self, address_range, pid=pid, **kwargs)
+        ins = self._instruments
+        ins.sources.inc()
+        ins.tainted_bytes.set(self.tainted_bytes)
+        ins.range_count.set(self.range_count)
+        self._tel.event(
+            "source_taint",
+            pid=pid,
+            index=self.stats.instructions_observed,
+            start=address_range.start,
+            size=address_range.size,
+        )
+
+    def _check_with_telemetry(
+        self, address_range: AddressRange, pid: int = 0
+    ) -> bool:
+        self._instruments.checks.inc()
+        return type(self).check(self, address_range, pid=pid)
+
+    # -- bookkeeping -----------------------------------------------------
+
+    def _after_mutation(self, pid: int, instruction_index: int) -> None:
+        size = self.tainted_bytes
+        count = self.range_count
+        if size > self.stats.max_tainted_bytes:
+            self.stats.max_tainted_bytes = size
+        if count > self.stats.max_range_count:
+            self.stats.max_range_count = count
+        if self._record_timeline:
+            self.stats.timeline.append(
+                TimelinePoint(
+                    instruction_index=instruction_index,
+                    tainted_bytes=size,
+                    range_count=count,
+                    cumulative_operations=self.stats.total_operations,
+                )
+            )
+
+
+class ColourTracker(PIFTTracker):
+    """Algorithm 1 with per-source provenance labels ("colours").
+
+    Sources register with a colour name (:meth:`taint_source`'s
+    ``colour``); taint state is a :class:`~repro.core.colours.ColourRangeSet`
+    whose intervals carry 64-bit colour masks.  A tainted load's window
+    carries the OR of every overlapped range's mask; in-window stores
+    taint their target with that window mask; untainting removes bytes
+    wholesale — so the tainted/untainted *classification* of every event
+    never consults masks, only coverage.  The union projection (any
+    non-zero mask == tainted) of a coloured run is therefore
+    byte-identical to a plain :class:`PIFTTracker` on the same trace:
+    identical verdicts and counters, with ``max_range_count`` the single
+    permitted exception under multiple live colours (equal-mask-only
+    coalescing can keep more intervals).  With one registered colour,
+    every counter — including ``max_range_count`` — is identical
+    (``tests/property/test_colour_parity.py``).
+
+    Sink queries gain :meth:`check_mask` / :meth:`check_colours` for
+    attribution; the inherited boolean :meth:`check` is unchanged.
+    Algorithm 1 itself is the base tracker's, which already carries the
+    window mask: this class only picks the coloured state.
+    """
+
+    def __init__(
+        self,
+        config: PIFTConfig,
+        colours: Optional[ColourSpace] = None,
+        record_timeline: bool = False,
+        telemetry: Optional["Telemetry"] = None,
+    ) -> None:
+        super().__init__(
+            config,
+            state_factory=ColourRangeSet,
+            record_timeline=record_timeline,
+            telemetry=telemetry,
+        )
+        self.colours = colours if colours is not None else ColourSpace()
+
+    # -- labelled sources and sink queries -------------------------------
+
+    def taint_source(
+        self,
+        address_range: AddressRange,
+        pid: int = 0,
+        colour: Optional[str] = None,
+    ) -> None:
+        """Source registration carrying a colour label.
+
+        ``colour`` defaults to ``"source"`` so colour-unaware callers
+        (the base class's API) still get a well-formed single-colour run.
+        """
+        mask = self.colours.register("source" if colour is None else colour)
+        self.state(pid).add(address_range, mask)
+        self._after_mutation(
+            pid, instruction_index=self.stats.instructions_observed
+        )
+
+    def check_mask(self, address_range: AddressRange, pid: int = 0) -> int:
+        """Sink query: OR of the colour masks overlapping ``address_range``."""
+        return self.state(pid).mask_overlapping(address_range)
+
+    def check_colours(
+        self, address_range: AddressRange, pid: int = 0
+    ) -> Tuple[str, ...]:
+        """Sink query: contributing source names, in registration order."""
+        return self.colours.names_for(
+            self.check_mask(address_range, pid=pid)
+        )
+
+    # The benchmark's per-layer tracer (perfbench/tracer.py) wraps these
+    # through each class's own ``__dict__`` to label spans plain or coloured.
+    observe_columns = PIFTTracker.observe_columns
+    observe_columns_scalar = PIFTTracker.observe_columns_scalar
 
     # -- checkpoint / restore --------------------------------------------
 

@@ -39,7 +39,8 @@ Soundness argument (the property suite in
   set, so a stale classification stays conservative, never unsound.
 
 The kernel is an execution strategy, not a semantics change: it requires
-the unbounded :class:`~repro.core.ranges.RangeSet` backend (bounded
+an unbounded :class:`~repro.core.ranges.RangeSet` or
+:class:`~repro.core.colours.ColourRangeSet` backend (bounded
 hardware models mutate on eviction inside ``add`` and may keep LRU state,
 so skipping their queries would change behaviour) and is bypassed
 entirely when a telemetry shadow is bound over ``observe``.
@@ -50,6 +51,7 @@ from __future__ import annotations
 import warnings
 from typing import TYPE_CHECKING
 
+from repro.core.colours import ColourRangeSet
 from repro.core.ranges import AddressRange
 
 try:
@@ -502,8 +504,8 @@ def _dense_span(
     ``max_range_count`` bookkeeping is reproduced either by the
     can't-exceed-the-high-water guard or by per-step fallback.
 
-    For the coloured tracker (:class:`~repro.core.tracker.ColourTracker`)
-    the same executor carries colour: each governing hit load's overlap
+    On a :class:`~repro.core.colours.ColourRangeSet` state the same
+    executor carries colour: each governing hit load's overlap
     mask becomes the window mask, a consecutive taint run (which contains
     no loads, hence has one governing window) commits with that single
     mask, and a contained taint-add only counts as content-free when its
@@ -520,11 +522,11 @@ def _dense_span(
         consumed = min(SCALAR_RUN, limit - lo)
         tracker.observe_columns_scalar(columns, lo, lo + consumed)
         return consumed, consumed
-    coloured = tracker._coloured
     pid = int(arrays.pids[lo])
     if pid not in tracker._windows:
         tracker.state(pid)
     state = tracker._states[pid]
+    coloured = isinstance(state, ColourRangeSet)
     window = tracker._windows[pid]
     config = tracker.config
     stats = tracker.stats
@@ -576,9 +578,9 @@ def _dense_span(
             last, props, last_load = _commit_prefix(
                 stats, window, K, L, hl, seg, taint, p, cut, last, props
             )
-            if coloured and last_load is not None:
+            if last_load is not None:
                 # The prefix is mutation-free, so the state still holds
-                # what the window-opening load saw.
+                # what the window-opening load saw (1 on a plain state).
                 wmask = (
                     int(colours[0][last_load]) if colours is not None
                     else state.mask_overlapping(

@@ -1,19 +1,23 @@
 """Differential oracle: every ``observe_columns`` execution strategy is
 observationally identical to per-event ``observe``.
 
-Three-way parity over random multi-PID streams — per-event ``observe``
-== scalar ``observe_columns_scalar`` == the numpy pre-filter kernel
-(``observe_columns_vectorized``) — on stats, taint state, timeline,
-untainting on and off, and with the telemetry shadow fallback live.
-The kernel is also run with the dense executor forced on every same-PID
-run (:func:`forced_dense`), so its mutation machinery is checked even
-where the cost rule would hand a short random run to the scalar loop,
-and every column-path run's strategy counters must account for every
+Per-event ``observe`` is the one reference.  Each column-path strategy
+— the scalar ``observe_columns_scalar``, the numpy pre-filter kernel
+(``observe_columns_vectorized``), and that kernel with the dense
+executor forced on every same-PID run (:func:`forced_dense`, so its
+mutation machinery is checked even where the cost rule would hand a
+short random run to the scalar loop) — must match it on random
+multi-PID streams: stats, taint state, timeline, verdicts and colour
+attributions, untainting on and off.  The plain tracker, the coloured
+tracker with three colours, and the coloured tracker with one colour
+run the same checks, as do the telemetry shadow fallback and every
+column-path run's strategy counters, which must account for every
 event exactly once."""
 
 import json
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +25,22 @@ from repro.core import vectorized
 from repro.core.config import PIFTConfig
 from repro.core.events import AccessKind, EventColumns, EventTrace, MemoryAccess
 from repro.core.ranges import AddressRange
-from repro.core.tracker import PIFTTracker
+from repro.core.tracker import ColourTracker, PIFTTracker
 
 SOURCE = AddressRange(0, 15)
+
+#: Distinct per-colour source ranges for the coloured trackers: streams
+#: address [0, 407], so loads can straddle colour boundaries and windows
+#: can carry multi-bit masks.
+COLOUR_SOURCES = (
+    ("imei", AddressRange(0, 15)),
+    ("location", AddressRange(32, 47)),
+    ("phone_number", AddressRange(64, 79)),
+)
+
+#: Tracker kinds every strategy is checked on: plain, three colours, and
+#: one colour (the degenerate case the plain goldens freeze).
+TRACKER_KINDS = ("plain", "coloured", "single_colour")
 
 events = st.builds(
     lambda kind, start, size, gap, pid: (kind, start, size, gap, pid),
@@ -61,57 +78,57 @@ def materialise(raw_events):
 
 CHECKS = [
     (SOURCE, 0), (SOURCE, 2),
-    (AddressRange(0, 500), 1), (AddressRange(100, 140), 3),
+    (AddressRange(0, 500), 0), (AddressRange(0, 500), 1),
+    (AddressRange(100, 140), 3), (AddressRange(32, 79), 2),
 ]
 
 
 def fingerprint(tracker: PIFTTracker) -> str:
-    """Byte-exact observable state: stats, taint snapshot, verdicts."""
-    return json.dumps(
-        {
-            "stats": tracker.stats.as_dict(),
-            "state": tracker.snapshot(),
-            "per_pid": tracker.instructions_per_pid,
-            "verdicts": [
-                tracker.check(check, pid=pid) for check, pid in CHECKS
-            ],
-        },
-        sort_keys=True,
-    )
+    """Byte-exact observable state: stats, taint snapshot (with masks on
+    a coloured tracker), verdicts, and colour attributions."""
+    payload = {
+        "stats": tracker.stats.as_dict(),
+        "state": tracker.snapshot(),
+        "per_pid": tracker.instructions_per_pid,
+        "verdicts": [tracker.check(check, pid=pid) for check, pid in CHECKS],
+    }
+    if isinstance(tracker, ColourTracker):
+        payload["colours"] = [
+            list(tracker.check_colours(check, pid=pid))
+            for check, pid in CHECKS
+        ]
+    return json.dumps(payload, sort_keys=True)
 
 
-def run_serial(config, stream, telemetry=None, record_timeline=False):
-    tracker = PIFTTracker(
-        config, record_timeline=record_timeline, telemetry=telemetry
+def make_tracker(config, kind="plain", **kwargs):
+    """A fresh tracker of ``kind`` with its sources registered."""
+    if kind == "plain":
+        tracker = PIFTTracker(config, **kwargs)
+        tracker.taint_source(SOURCE, pid=1)
+        tracker.taint_source(SOURCE, pid=2)
+        return tracker
+    tracker = ColourTracker(config, **kwargs)
+    count = len(COLOUR_SOURCES) if kind == "coloured" else 1
+    for name, source_range in COLOUR_SOURCES[:count]:
+        for pid in (0, 1, 2):
+            tracker.taint_source(source_range, pid=pid, colour=name)
+    return tracker
+
+
+def run_serial(
+    config, stream, telemetry=None, record_timeline=False, kind="plain"
+):
+    tracker = make_tracker(
+        config, kind, record_timeline=record_timeline, telemetry=telemetry
     )
-    tracker.taint_source(SOURCE, pid=1)
-    tracker.taint_source(SOURCE, pid=2)
     for event in stream:
         tracker.observe(event)
     return tracker
 
 
 def run_batched(config, stream, telemetry=None, encode=None):
-    tracker = PIFTTracker(config, telemetry=telemetry)
-    tracker.taint_source(SOURCE, pid=1)
-    tracker.taint_source(SOURCE, pid=2)
+    tracker = make_tracker(config, telemetry=telemetry)
     tracker.observe_batch(encode(stream) if encode else stream)
-    return tracker
-
-
-def run_scalar(config, stream, record_timeline=False):
-    tracker = PIFTTracker(config, record_timeline=record_timeline)
-    tracker.taint_source(SOURCE, pid=1)
-    tracker.taint_source(SOURCE, pid=2)
-    tracker.observe_columns_scalar(EventColumns.from_events(stream))
-    return tracker
-
-
-def run_vectorized(config, stream, record_timeline=False):
-    tracker = PIFTTracker(config, record_timeline=record_timeline)
-    tracker.taint_source(SOURCE, pid=1)
-    tracker.taint_source(SOURCE, pid=2)
-    tracker.observe_columns_vectorized(EventColumns.from_events(stream))
     return tracker
 
 
@@ -128,9 +145,35 @@ def forced_dense():
         vectorized.RESIM_COST = saved
 
 
-def run_dense(config, stream):
+def scalar(tracker, columns):
+    tracker.observe_columns_scalar(columns)
+
+
+def vectorised(tracker, columns):
+    tracker.observe_columns_vectorized(columns)
+
+
+def dense(tracker, columns):
     with forced_dense():
-        return run_vectorized(config, stream)
+        tracker.observe_columns_vectorized(columns)
+
+
+def assert_strategies_match_observe(
+    config, stream, kind="plain", record_timeline=False
+):
+    """Each column-path strategy on a fresh ``kind`` tracker equals the
+    per-event ``observe`` reference byte for byte, and counts every
+    event exactly once."""
+    expected = fingerprint(
+        run_serial(config, stream, record_timeline=record_timeline, kind=kind)
+    )
+    trackers = []
+    for strategy in (scalar, vectorised, dense):
+        tracker = make_tracker(config, kind, record_timeline=record_timeline)
+        strategy(tracker, EventColumns.from_events(stream))
+        assert fingerprint(tracker) == expected, strategy.__name__
+        trackers.append(tracker)
+    assert_counts_cover(*trackers)
 
 
 def assert_counts_cover(*trackers):
@@ -183,43 +226,31 @@ def test_batch_equals_per_event_under_telemetry(raw, config):
     )
 
 
+@pytest.mark.parametrize("kind", TRACKER_KINDS)
 @given(st.lists(events, max_size=120), configs)
-@settings(max_examples=150, deadline=None)
-def test_three_way_parity(raw, config):
-    """Per-event == scalar columns == vectorised kernel, byte-for-byte.
+@settings(max_examples=100, deadline=None)
+def test_three_way_parity(kind, raw, config):
+    """Each strategy == per-event ``observe``, byte-for-byte, on the
+    plain, three-colour and one-colour trackers.
 
     ``configs`` draws untainting both on and off, so the kernel's
     untaint-candidate classification is exercised in both modes.
     """
-    stream = materialise(raw)
-    reference = fingerprint(run_serial(config, stream))
-    trackers = (
-        run_scalar(config, stream),
-        run_vectorized(config, stream),
-        run_dense(config, stream),
-    )
-    for tracker in trackers:
-        assert fingerprint(tracker) == reference
-    assert_counts_cover(*trackers)
+    assert_strategies_match_observe(config, materialise(raw), kind)
 
 
 @given(st.lists(events, max_size=100), configs)
 @settings(max_examples=75, deadline=None)
 def test_three_way_parity_with_timeline(raw, config):
-    """Timeline recording survives all three strategies identically.
+    """Timeline recording survives every strategy identically.
 
     The kernel only skips mutation-free events, so every timeline point
     (taken at taint/untaint ops inside the scalar runs) must land at the
     same instruction index with the same taint-state sample.
     """
-    stream = materialise(raw)
-    reference = fingerprint(run_serial(config, stream, record_timeline=True))
-    assert fingerprint(
-        run_scalar(config, stream, record_timeline=True)
-    ) == reference
-    assert fingerprint(
-        run_vectorized(config, stream, record_timeline=True)
-    ) == reference
+    assert_strategies_match_observe(
+        config, materialise(raw), record_timeline=True
+    )
 
 
 @given(st.lists(events, min_size=1, max_size=40), configs, st.integers(0, 7))
@@ -316,19 +347,11 @@ def materialise_adversarial(raw_events):
 @given(st.lists(adversarial_events, max_size=120), configs)
 @settings(max_examples=150, deadline=None)
 def test_three_way_parity_under_regressing_indices(raw, config):
-    """Scalar == batched == vectorised on freely regressing index streams,
-    locking ``instructions_observed`` / ``instructions_retired`` (both in
-    the fingerprint via stats and ``instructions_per_pid``) bit-for-bit."""
-    stream = materialise_adversarial(raw)
-    reference = fingerprint(run_serial(config, stream))
-    trackers = (
-        run_scalar(config, stream),
-        run_vectorized(config, stream),
-        run_dense(config, stream),
-    )
-    for tracker in trackers:
-        assert fingerprint(tracker) == reference
-    assert_counts_cover(*trackers)
+    """Each strategy == per-event ``observe`` on freely regressing index
+    streams, locking ``instructions_observed`` / ``instructions_retired``
+    (both in the fingerprint via stats and ``instructions_per_pid``)
+    bit-for-bit."""
+    assert_strategies_match_observe(config, materialise_adversarial(raw))
 
 
 @given(
@@ -346,15 +369,7 @@ def test_adversarial_interleaves_crossing_block_boundaries(raw, config, jitter):
     stream = []
     while len(stream) < BLOCK_MIN * 2 + jitter:
         stream.extend(base)
-    reference = fingerprint(run_serial(config, stream))
-    trackers = (
-        run_scalar(config, stream),
-        run_vectorized(config, stream),
-        run_dense(config, stream),
-    )
-    for tracker in trackers:
-        assert fingerprint(tracker) == reference
-    assert_counts_cover(*trackers)
+    assert_strategies_match_observe(config, stream)
 
 
 @given(st.lists(events, max_size=60), st.integers(0, 60), st.integers(0, 60))
@@ -366,9 +381,7 @@ def test_observe_columns_slices_compose(raw, cut_a, cut_b):
     lo, hi = sorted((min(cut_a, len(stream)), min(cut_b, len(stream))))
     columns = EventColumns.from_events(stream)
     whole = run_batched(config, stream)
-    split = PIFTTracker(config)
-    split.taint_source(SOURCE, pid=1)
-    split.taint_source(SOURCE, pid=2)
+    split = make_tracker(config)
     split.observe_columns(columns, 0, lo)
     split.observe_columns(columns, lo, hi)
     split.observe_columns(columns, hi, len(columns))

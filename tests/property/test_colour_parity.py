@@ -2,13 +2,12 @@
 
 Two claims lock the colour layer down:
 
-1. **Three-way execution parity** — the coloured tracker's per-event
-   ``observe``, scalar ``observe_columns_scalar``, and vectorised
-   ``observe_columns_vectorized`` (which routes through the
-   mask-carrying dense executor, also run with the executor forced on
-   every same-PID run) are observationally identical on random
-   multi-source, multi-PID streams: same stats, same interval+mask
-   state, same colour attributions.
+1. **Execution parity** — every column-path strategy of the coloured
+   tracker equals its per-event ``observe`` on stats, interval+mask
+   state and colour attributions, with three colours and with one.
+   The plain and coloured trackers run one Algorithm 1, so that check
+   lives with the plain one, parametrised over the tracker kind
+   (``tests/property/test_batch_parity.py::test_three_way_parity``).
 
 2. **Union projection** — collapsing every mask to "non-zero == tainted"
    reproduces the plain single-bit tracker byte for byte: identical
@@ -19,16 +18,12 @@ Two claims lock the colour layer down:
    the interval structure itself must be identical.
 """
 
-import json
-from contextlib import contextmanager
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import vectorized
 from repro.core.colours import ColourSpace
 from repro.core.config import PIFTConfig
-from repro.core.events import AccessKind, EventColumns, MemoryAccess
+from repro.core.events import AccessKind, MemoryAccess
 from repro.core.ranges import AddressRange
 from repro.core.tracker import ColourTracker, PIFTTracker
 
@@ -95,48 +90,6 @@ def plain_tracker(config, source_count=len(SOURCES)):
     return tracker
 
 
-def colour_fingerprint(tracker: ColourTracker) -> str:
-    """Byte-exact coloured observables: stats, interval+mask state,
-    verdicts with attribution."""
-    return json.dumps(
-        {
-            "stats": tracker.stats.as_dict(),
-            "state": tracker.snapshot(),
-            "per_pid": tracker.instructions_per_pid,
-            "verdicts": [
-                [
-                    tracker.check(check, pid=pid),
-                    list(tracker.check_colours(check, pid=pid)),
-                ]
-                for check, pid in CHECKS
-            ],
-        },
-        sort_keys=True,
-    )
-
-
-@contextmanager
-def forced_dense():
-    """Price a dense re-simulation at zero, so every same-PID run goes
-    through the mask-carrying dense executor and none is handed off."""
-    saved = vectorized.RESIM_COST
-    vectorized.RESIM_COST = 0
-    try:
-        yield
-    finally:
-        vectorized.RESIM_COST = saved
-
-
-def assert_counts_cover(*trackers):
-    """Skipped + dense + scalar events == events observed, per tracker."""
-    for tracker in trackers:
-        kernel = tracker.kernel
-        assert (
-            kernel.skipped_events + kernel.dense_events + kernel.scalar_events
-            == tracker.stats.loads_observed + tracker.stats.stores_observed
-        ), kernel
-
-
 def merged_coverage(snapshot_state: dict):
     """Mask-blind coalesce of a ColourRangeSet snapshot — the union
     projection's interval structure."""
@@ -147,26 +100,6 @@ def merged_coverage(snapshot_state: dict):
         else:
             merged.append([start, end])
     return merged
-
-
-@given(st.lists(events, max_size=120), configs)
-@settings(max_examples=100, deadline=None)
-def test_coloured_three_way_execution_parity(raw, config):
-    stream = materialise(raw)
-    serial = coloured_tracker(config)
-    for event in stream:
-        serial.observe(event)
-    scalar = coloured_tracker(config)
-    scalar.observe_columns_scalar(EventColumns.from_events(stream))
-    vector = coloured_tracker(config)
-    vector.observe_columns_vectorized(EventColumns.from_events(stream))
-    dense = coloured_tracker(config)
-    with forced_dense():
-        dense.observe_columns_vectorized(EventColumns.from_events(stream))
-    assert colour_fingerprint(serial) == colour_fingerprint(scalar)
-    assert colour_fingerprint(scalar) == colour_fingerprint(vector)
-    assert colour_fingerprint(scalar) == colour_fingerprint(dense)
-    assert_counts_cover(scalar, vector, dense)
 
 
 @given(st.lists(events, max_size=120), configs)
@@ -222,23 +155,3 @@ def test_single_colour_is_byte_identical_to_plain(raw, config):
         assert coloured_snapshot[pid]["ends"] == state["ends"]
     for check, pid in CHECKS:
         assert coloured.check(check, pid=pid) == plain.check(check, pid=pid)
-
-
-@given(st.lists(events, min_size=30, max_size=120), configs)
-@settings(max_examples=50, deadline=None)
-def test_single_colour_three_way_parity(raw, config):
-    """The dense executor's single-colour behaviour is the regression
-    surface the plain goldens freeze — re-check the three-way parity in
-    the degenerate one-colour configuration too."""
-    stream = materialise(raw)
-    serial = coloured_tracker(config, source_count=1)
-    for event in stream:
-        serial.observe(event)
-    vector = coloured_tracker(config, source_count=1)
-    vector.observe_columns_vectorized(EventColumns.from_events(stream))
-    dense = coloured_tracker(config, source_count=1)
-    with forced_dense():
-        dense.observe_columns_vectorized(EventColumns.from_events(stream))
-    assert colour_fingerprint(serial) == colour_fingerprint(vector)
-    assert colour_fingerprint(serial) == colour_fingerprint(dense)
-    assert_counts_cover(vector, dense)

@@ -1,5 +1,8 @@
 """Unit tests for the analysis package: distances, replay, accuracy, overhead."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -178,6 +181,40 @@ class TestReplay:
             AddressRange(0x2000, 0x2003), 11, "sink", "sms"
         )
         assert not replay(recorded, PIFTConfig(5, 2)).alarm
+
+
+class TestReplayPlanCache:
+    """The plan cached on a run follows its sources and checks, not just
+    their counts (DroidBench ``Aliasing.AliasLeak``: the sink reads the
+    source's own bytes, so moving the source clears the verdict)."""
+
+    @staticmethod
+    def recorded():
+        from repro.apps.droidbench.suite import app_by_name, record_app
+
+        return record_app(app_by_name("Aliasing.AliasLeak")).recorded
+
+    @staticmethod
+    def verdicts(recorded):
+        return [o.tainted for o in replay(recorded, PIFTConfig()).sink_outcomes]
+
+    @staticmethod
+    def moved(source):
+        return replace(source, address_range=AddressRange(0x10, 0x2F))
+
+    def test_source_swapped_in_place_rebuilds_the_plan(self):
+        recorded = self.recorded()
+        assert self.verdicts(recorded) == [True]
+        recorded.sources[0] = self.moved(recorded.sources[0])
+        assert self.verdicts(recorded) == [False]
+
+    def test_edited_deep_copy_rebuilds_the_plan(self):
+        recorded = self.recorded()
+        assert self.verdicts(recorded) == [True]
+        clone = copy.deepcopy(recorded)
+        clone.sources[0] = self.moved(clone.sources[0])
+        assert self.verdicts(clone) == [False]
+        assert self.verdicts(recorded) == [True]
 
 
 class TestAccuracy:

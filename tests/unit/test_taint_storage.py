@@ -1,10 +1,16 @@
 """Unit tests for the hardware taint-storage models (paper section 3.3)."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.replay import replay
+from repro.android.device import RecordedRun, SinkCheck, SourceRegistration
 from repro.core.config import PIFTConfig
-from repro.core.events import load, store
-from repro.core.ranges import AddressRange
+from repro.core.events import EventTrace, load, store
+from repro.core.ranges import AddressRange, RangeSet
 from repro.core.taint_storage import (
     ENTRY_BYTES_WITH_PID,
     ENTRY_BYTES_WITHOUT_PID,
@@ -192,3 +198,130 @@ class TestTrackerIntegration:
         storage = paper_default_storage()
         assert storage.capacity_entries == 2730
         assert storage.policy is EvictionPolicy.SPILL
+
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "query"]),
+        st.builds(
+            lambda start, size: AddressRange(start, start + size),
+            st.integers(0, 200),
+            st.integers(0, 12),
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestMaskOverlapping:
+    """Plain states are the one-colour case of the coloured state: a load
+    lookup answers 0 or 1, and ``add`` ignores the mask."""
+
+    @given(operations)
+    @settings(max_examples=100, deadline=None)
+    def test_rangeset_mask_is_the_overlap_bit(self, ops):
+        state, reference = RangeSet(), RangeSet()
+        for op, item in ops:
+            if op == "add":
+                state.add(item, 0b101)
+                reference.add(item)
+            elif op == "remove":
+                state.remove(item)
+                reference.remove(item)
+            assert state.mask_overlapping(item) == int(state.overlaps(item))
+            assert state == reference
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    @given(ops=operations)
+    @settings(max_examples=100, deadline=None)
+    def test_cache_mask_is_one_overlaps_call(self, policy, ops):
+        """Twin caches take the same operations; one answers queries with
+        ``mask_overlapping``, the other with ``overlaps``.  The answers
+        agree, and so do the LRU order, spilled state and stats."""
+        masked = BoundedRangeCache(capacity_entries=2, policy=policy)
+        plain = BoundedRangeCache(capacity_entries=2, policy=policy)
+        for op, item in ops:
+            if op == "add":
+                masked.add(item, 0b101)
+                plain.add(item)
+            elif op == "remove":
+                masked.remove(item)
+                plain.remove(item)
+            else:
+                assert masked.mask_overlapping(item) == int(
+                    plain.overlaps(item)
+                )
+            assert masked.snapshot() == plain.snapshot()
+
+
+def pinned_run() -> RecordedRun:
+    """A fixed two-PID run whose stores scatter over 48 slots, so a
+    4-entry range cache evicts, spills and hits secondary storage."""
+    rng = random.Random(2016)
+    events = []
+    index = {0: 0, 1: 0}
+    for _ in range(600):
+        pid = rng.randrange(2)
+        index[pid] += rng.randrange(1, 4)
+        base = 0x1000 + 0x10 * rng.randrange(48)
+        size = rng.randrange(1, 9)
+        access = load if rng.random() < 0.45 else store
+        events.append(access(base, base + size - 1, index[pid], pid=pid))
+    recorded = RecordedRun(trace=EventTrace(events, instruction_count=2000))
+    for pid in (0, 1):
+        recorded.sources.append(
+            SourceRegistration(AddressRange(0x1000, 0x103F), 0, "src", pid=pid)
+        )
+    for i, at in enumerate((200, 500, 900, 1500)):
+        recorded.sink_checks.append(
+            SinkCheck(AddressRange(0x1000, 0x12FF), at, f"sink{i}", "sms",
+                      pid=i % 2)
+        )
+    recorded.sink_checks.append(
+        SinkCheck(AddressRange(0x9000, 0x90FF), 1900, "clean", "sms")
+    )
+    return recorded
+
+
+class TestPinnedBoundedReplay:
+    """A bounded-cache replay of :func:`pinned_run` under ``(8, 3)``, with
+    every tracker and storage counter pinned: how the tracker queries its
+    state (one lookup per load, one per untaint candidate) must not move
+    the cache's LRU order, spills or stats."""
+
+    @pytest.mark.parametrize("policy, tracker_stats, storage_stats", [
+        (
+            EvictionPolicy.SPILL,
+            (1176, 277, 323, 127, 174, 51, 425, 72),
+            [(206, 26, 53, 106, 0, 0), (225, 22, 81, 157, 0, 0)],
+        ),
+        (
+            EvictionPolicy.DROP,
+            (1176, 277, 323, 24, 48, 23, 134, 8),
+            [(258, 26, 0, 14, 14, 123), (299, 25, 0, 13, 13, 114)],
+        ),
+    ])
+    def test_counters_pinned(self, policy, tracker_stats, storage_stats):
+        caches = []
+
+        def factory():
+            caches.append(BoundedRangeCache(4, policy=policy))
+            return caches[-1]
+
+        result = replay(pinned_run(), PIFTConfig(8, 3), state_factory=factory)
+        stats = result.stats
+        assert (
+            stats.instructions_observed, stats.loads_observed,
+            stats.stores_observed, stats.tainted_loads,
+            stats.taint_operations, stats.untaint_operations,
+            stats.max_tainted_bytes, stats.max_range_count,
+        ) == tracker_stats
+        assert [
+            (c.stats.lookups, c.stats.hits, c.stats.secondary_hits,
+             c.stats.evictions, c.stats.dropped_ranges,
+             c.stats.dropped_bytes)
+            for c in caches
+        ] == storage_stats
+        assert [o.tainted for o in result.sink_outcomes] == [
+            True, True, True, True, False
+        ]
