@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 from repro.core.colours import ColourSpace
 from repro.core.config import BufferConfig, OverflowPolicy, PIFTConfig
 from repro.core.events import AccessKind, EventColumns, MemoryAccess
-from repro.core.ranges import AddressRange
+from repro.core.ranges import AddressRange, check_bounds
 from repro.core.tracker import ColourTracker, PIFTTracker, TrackerStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -275,11 +275,12 @@ class BufferedPIFT:
         """Append one event; apply the overflow policy when the FIFO is full."""
         columns = self._open
         if columns is None or len(columns) >= self.capacity:
-            columns = self._open = EventColumns([], [], [], [], [])
+            columns = self._open = EventColumns([], [], [], [], [], [])
         position = len(columns)
         columns.events.append(event)
         columns.is_loads.append(event.kind is AccessKind.LOAD)
-        columns.ranges.append(event.address_range)
+        columns.starts.append(event.address_range.start)
+        columns.ends.append(event.address_range.end)
         columns.indices.append(event.instruction_index)
         columns.pids.append(event.pid)
         depth = self._depth + 1
@@ -710,14 +711,13 @@ def _pack(fifo: Deque[list]) -> List[list]:
     load, store = AccessKind.LOAD.value, AccessKind.STORE.value
     rows: List[list] = []
     for columns, lo, hi in fifo:
-        is_loads, ranges = columns.is_loads, columns.ranges
+        is_loads, starts, ends = columns.is_loads, columns.starts, columns.ends
         indices, pids = columns.indices, columns.pids
         for i in range(lo, hi):
-            address_range = ranges[i]
             rows.append([
                 load if is_loads[i] else store,
-                address_range.start,
-                address_range.end,
+                starts[i],
+                ends[i],
                 indices[i],
                 pids[i],
             ])
@@ -725,13 +725,22 @@ def _pack(fifo: Deque[list]) -> List[list]:
 
 
 def _unpack(rows: List[list]) -> Tuple[Deque[list], int]:
-    """Inverse of :func:`_pack`: one slice over new columns, and its depth."""
+    """Inverse of :func:`_pack`: one slice over new columns, and its depth.
+
+    Bounds are checked as :class:`AddressRange` checks them, with the
+    same ``ValueError``, so a corrupted row is refused, not queued.
+    """
     if not rows:
         return deque(), 0
+    starts = [int(row[1]) for row in rows]
+    ends = [int(row[2]) for row in rows]
+    for start, end in zip(starts, ends):
+        check_bounds(start, end)
     columns = EventColumns(
         None,
         [AccessKind(kind) is AccessKind.LOAD for kind, *_ in rows],
-        [AddressRange(int(start), int(end)) for _, start, end, *_ in rows],
+        starts,
+        ends,
         [int(row[3]) for row in rows],
         [int(row[4]) for row in rows],
     )

@@ -149,12 +149,19 @@ class ColourRangeSet:
     def range_count(self) -> int:
         return len(self._starts)
 
+    # Each per-event operation exists once, over integer bounds (the
+    # column path's ``starts``/``ends``); the :class:`AddressRange` forms
+    # are one-line delegations.
+
+    def overlaps_bounds(self, start: int, end: int) -> bool:
+        idx = bisect.bisect_right(self._starts, end) - 1
+        return idx >= 0 and self._ends[idx] >= start
+
     def overlaps(self, query: AddressRange) -> bool:
-        idx = bisect.bisect_right(self._starts, query.end) - 1
-        return idx >= 0 and self._ends[idx] >= query.start
+        return self.overlaps_bounds(query.start, query.end)
 
     def covers_address(self, address: int) -> bool:
-        return self.overlaps(AddressRange(address, address))
+        return self.overlaps_bounds(address, address)
 
     def overlapping(self, query: AddressRange) -> List[AddressRange]:
         result: List[AddressRange] = []
@@ -165,18 +172,22 @@ class ColourRangeSet:
         result.reverse()
         return result
 
-    def mask_overlapping(self, query: AddressRange) -> int:
-        """OR of the masks of every stored range overlapping ``query``.
+    def mask_bounds(self, start: int, end: int) -> int:
+        """OR of the masks of every stored range overlapping
+        ``[start, end]``.
 
         This is the per-load lookup of the coloured tracker: zero means
         untainted, and the set bits name the contributing sources.
         """
         mask = 0
-        idx = bisect.bisect_right(self._starts, query.end) - 1
-        while idx >= 0 and self._ends[idx] >= query.start:
+        idx = bisect.bisect_right(self._starts, end) - 1
+        while idx >= 0 and self._ends[idx] >= start:
             mask |= self._masks[idx]
             idx -= 1
         return mask
+
+    def mask_overlapping(self, query: AddressRange) -> int:
+        return self.mask_bounds(query.start, query.end)
 
     def as_arrays(self):
         """Sorted ``(starts, ends)`` int64 numpy mirror (see RangeSet)."""
@@ -208,13 +219,12 @@ class ColourRangeSet:
 
     # -- mutations -------------------------------------------------------
 
-    def add(self, item: AddressRange, mask: int) -> None:
-        """Taint ``item`` with ``mask``: OR into overlapped intervals
-        (splitting at the boundaries), fill gaps, then locally coalesce
-        equal-mask neighbours."""
+    def add_bounds(self, start: int, end: int, mask: int) -> None:
+        """Taint ``[start, end]`` with ``mask``: OR into overlapped
+        intervals (splitting at the boundaries), fill gaps, then locally
+        coalesce equal-mask neighbours."""
         if mask == 0:
             raise ValueError("colour mask must be non-zero")
-        start, end = item.start, item.end
         starts, ends, masks = self._starts, self._ends, self._masks
         lo = bisect.bisect_left(ends, start)
         hi = bisect.bisect_right(starts, end)
@@ -296,6 +306,9 @@ class ColourRangeSet:
         self._total += added
         self._version += 1
 
+    def add(self, item: AddressRange, mask: int) -> None:
+        self.add_bounds(item.start, item.end, mask)
+
     def add_many(
         self, items: List[Tuple[int, int]], mask: int
     ) -> Optional[Tuple[int, int]]:
@@ -327,7 +340,7 @@ class ColourRangeSet:
         if not items:
             return None, steps
         for start, end in items:
-            self.add(AddressRange(start, end), mask)
+            self.add_bounds(start, end, mask)
             steps.append((self._total, len(self._starts)))
         hull_lo = min(s for s, _ in items)
         hull_hi = max(e for _, e in items)
@@ -335,12 +348,13 @@ class ColourRangeSet:
         i1 = bisect.bisect_right(self._starts, hull_hi) - 1
         return (self._starts[i0], self._ends[i1]), steps
 
-    def remove(self, item: AddressRange) -> None:
-        """Untaint ``item`` wholesale — every colour at once.  Straddling
-        intervals split; the remnants keep their original masks."""
+    def remove_bounds(self, start: int, end: int) -> None:
+        """Untaint ``[start, end]`` wholesale — every colour at once.
+        Straddling intervals split; the remnants keep their original
+        masks."""
         starts, ends, masks = self._starts, self._ends, self._masks
-        lo = bisect.bisect_left(ends, item.start)
-        hi = bisect.bisect_right(starts, item.end)
+        lo = bisect.bisect_left(ends, start)
+        hi = bisect.bisect_right(starts, end)
         if lo >= hi:
             return
         removed = 0
@@ -349,12 +363,12 @@ class ColourRangeSet:
         new_starts: List[int] = []
         new_ends: List[int] = []
         new_masks: List[int] = []
-        if starts[lo] < item.start:
+        if starts[lo] < start:
             new_starts.append(starts[lo])
-            new_ends.append(item.start - 1)
+            new_ends.append(start - 1)
             new_masks.append(masks[lo])
-        if item.end < ends[hi - 1]:
-            new_starts.append(item.end + 1)
+        if end < ends[hi - 1]:
+            new_starts.append(end + 1)
             new_ends.append(ends[hi - 1])
             new_masks.append(masks[hi - 1])
         starts[lo:hi] = new_starts
@@ -365,6 +379,9 @@ class ColourRangeSet:
         ) - removed
         self._version += 1
 
+    def remove(self, item: AddressRange) -> None:
+        self.remove_bounds(item.start, item.end)
+
     def remove_many(
         self, items: List[Tuple[int, int]]
     ) -> List[Tuple[bool, int, int]]:
@@ -374,7 +391,7 @@ class ColourRangeSet:
         steps: List[Tuple[bool, int, int]] = []
         for start, end in items:
             before = self._version
-            self.remove(AddressRange(start, end))
+            self.remove_bounds(start, end)
             steps.append(
                 (self._version != before, self._total, len(self._starts))
             )

@@ -114,6 +114,11 @@ class EventColumns:
     once (``EventTrace.columns()`` caches the encoding), replay many times
     — the record-once/replay-many shape every ``(NI, NT)`` sweep has.
 
+    Address ranges are two parallel int lists, ``starts`` and ``ends``
+    (inclusive bounds, the §3.3 front end's four integers per access),
+    and the taint state's integer-bound methods take them as they are:
+    the column path builds no :class:`AddressRange` per event.
+
     ``events`` may be passed as ``None`` by a producer that has only the
     columns (the ``repro serve`` wire decoder, a restored buffer
     snapshot): the :class:`MemoryAccess` objects are then built on first
@@ -121,19 +126,23 @@ class EventColumns:
     telemetry shadow, a fault injector) ever makes.
     """
 
-    __slots__ = ("_events", "is_loads", "ranges", "indices", "pids", "_arrays")
+    __slots__ = (
+        "_events", "is_loads", "starts", "ends", "indices", "pids", "_arrays",
+    )
 
     def __init__(
         self,
         events: Optional[Sequence[MemoryAccess]],
         is_loads: List[bool],
-        ranges: List[AddressRange],
+        starts: List[int],
+        ends: List[int],
         indices: List[int],
         pids: List[int],
     ) -> None:
         self._events = events
         self.is_loads = is_loads
-        self.ranges = ranges
+        self.starts = starts
+        self.ends = ends
         self.indices = indices
         self.pids = pids
         self._arrays: Optional[ColumnArrays] = None
@@ -145,9 +154,10 @@ class EventColumns:
             load_kind, store_kind = AccessKind.LOAD, AccessKind.STORE
             self._events = [
                 MemoryAccess(load_kind if is_load else store_kind,
-                             address_range, index, pid)
-                for is_load, address_range, index, pid in zip(
-                    self.is_loads, self.ranges, self.indices, self.pids
+                             AddressRange(start, end), index, pid)
+                for is_load, start, end, index, pid in zip(
+                    self.is_loads, self.starts, self.ends, self.indices,
+                    self.pids,
                 )
             ]
         return self._events
@@ -156,15 +166,17 @@ class EventColumns:
     def from_events(cls, events: Iterable[MemoryAccess]) -> "EventColumns":
         materialised = list(events)
         is_loads: List[bool] = []
-        ranges: List[AddressRange] = []
+        starts: List[int] = []
+        ends: List[int] = []
         indices: List[int] = []
         pids: List[int] = []
         for event in materialised:
             is_loads.append(event.kind is AccessKind.LOAD)
-            ranges.append(event.address_range)
+            starts.append(event.address_range.start)
+            ends.append(event.address_range.end)
             indices.append(event.instruction_index)
             pids.append(event.pid)
-        return cls(materialised, is_loads, ranges, indices, pids)
+        return cls(materialised, is_loads, starts, ends, indices, pids)
 
     def arrays(self) -> ColumnArrays:
         """The cached :class:`ColumnArrays` numpy view (built on first use)."""
@@ -174,12 +186,8 @@ class EventColumns:
             count = len(self.indices)
             pids = numpy.fromiter(self.pids, numpy.int64, count)
             self._arrays = ColumnArrays(
-                starts=numpy.fromiter(
-                    (r.start for r in self.ranges), numpy.int64, count
-                ),
-                ends=numpy.fromiter(
-                    (r.end for r in self.ranges), numpy.int64, count
-                ),
+                starts=numpy.fromiter(self.starts, numpy.int64, count),
+                ends=numpy.fromiter(self.ends, numpy.int64, count),
                 is_load=numpy.fromiter(self.is_loads, numpy.bool_, count),
                 indices=numpy.fromiter(self.indices, numpy.int64, count),
                 pids=pids,

@@ -21,6 +21,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 
+def check_bounds(start: int, end: int) -> None:
+    """Raise ``ValueError`` unless ``[start, end]`` is a valid inclusive
+    range: a non-negative start, and an end at or after it."""
+    if start < 0:
+        raise ValueError(f"negative start address: {start:#x}")
+    if end < start:
+        raise ValueError(f"end {end:#x} precedes start {start:#x}")
+
+
 @dataclass(frozen=True, order=True)
 class AddressRange:
     """An inclusive address range ``[start, end]`` as in the paper's §3.2.
@@ -33,12 +42,7 @@ class AddressRange:
     end: int
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"negative start address: {self.start:#x}")
-        if self.end < self.start:
-            raise ValueError(
-                f"end {self.end:#x} precedes start {self.start:#x}"
-            )
+        check_bounds(self.start, self.end)
 
     @classmethod
     def from_base_size(cls, base: int, size: int) -> "AddressRange":
@@ -147,10 +151,10 @@ class RangeSet:
 
     def __contains__(self, item: AddressRange) -> bool:
         """True when ``item`` is fully covered by a single stored range."""
-        idx = self._candidate_index(item)
-        if idx is None:
-            return False
-        return self._starts[idx] <= item.start and item.end <= self._ends[idx]
+        idx = bisect.bisect_right(self._starts, item.end) - 1
+        return idx >= 0 and self._starts[idx] <= item.start and (
+            item.end <= self._ends[idx]
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RangeSet):
@@ -171,30 +175,52 @@ class RangeSet:
         """Number of distinct ranges (the paper's Figures 17/19)."""
         return len(self._starts)
 
+    # Each per-event operation exists once, over integer bounds (the
+    # column path's ``starts``/``ends``); the :class:`AddressRange` forms
+    # are one-line delegations.
+
+    def overlaps_bounds(self, start: int, end: int) -> bool:
+        """The per-load taint lookup: does any stored range overlap
+        ``[start, end]``?  Ranges are disjoint and sorted, so the only
+        candidate with ``start <= end`` that can still overlap is the
+        rightmost one."""
+        idx = bisect.bisect_right(self._starts, end) - 1
+        return idx >= 0 and self._ends[idx] >= start
+
     def overlaps(self, query: AddressRange) -> bool:
-        """The per-load taint lookup: does any stored range overlap ``query``?"""
-        return self._candidate_index(query) is not None
+        return self.overlaps_bounds(query.start, query.end)
+
+    def mask_bounds(self, start: int, end: int) -> int:
+        """The per-load lookup as a colour mask: 1 when any stored range
+        overlaps ``[start, end]``, else 0.  A plain set is the one-colour
+        case of :class:`~repro.core.colours.ColourRangeSet`, so one
+        Algorithm 1 loop serves both."""
+        idx = bisect.bisect_right(self._starts, end) - 1
+        return 1 if idx >= 0 and self._ends[idx] >= start else 0
 
     def mask_overlapping(self, query: AddressRange) -> int:
-        """The per-load lookup as a colour mask: 1 when any stored range
-        overlaps ``query``, else 0.  A plain set is the one-colour case
-        of :class:`~repro.core.colours.ColourRangeSet`, so one Algorithm 1
-        loop serves both."""
-        idx = bisect.bisect_right(self._starts, query.end) - 1
-        return 1 if idx >= 0 and self._ends[idx] >= query.start else 0
+        return self.mask_bounds(query.start, query.end)
 
-    def overlapping(self, query: AddressRange) -> List[AddressRange]:
-        """All stored ranges that overlap ``query`` (for sink diagnostics)."""
-        result: List[AddressRange] = []
-        idx = bisect.bisect_right(self._starts, query.end) - 1
-        while idx >= 0 and self._ends[idx] >= query.start:
-            result.append(AddressRange(self._starts[idx], self._ends[idx]))
+    def overlapping_pairs(self, start: int, end: int) -> List[Tuple[int, int]]:
+        """Every stored ``(start, end)`` overlapping ``[start, end]``, in
+        address order."""
+        result: List[Tuple[int, int]] = []
+        idx = bisect.bisect_right(self._starts, end) - 1
+        while idx >= 0 and self._ends[idx] >= start:
+            result.append((self._starts[idx], self._ends[idx]))
             idx -= 1
         result.reverse()
         return result
 
+    def overlapping(self, query: AddressRange) -> List[AddressRange]:
+        """All stored ranges that overlap ``query`` (for sink diagnostics)."""
+        return [
+            AddressRange(start, end)
+            for start, end in self.overlapping_pairs(query.start, query.end)
+        ]
+
     def covers_address(self, address: int) -> bool:
-        return self.overlaps(AddressRange(address, address))
+        return self.overlaps_bounds(address, address)
 
     def as_pairs(self) -> List[Tuple[int, int]]:
         """The stored ranges as plain ``(start, end)`` tuples, in address
@@ -224,26 +250,12 @@ class RangeSet:
             self._np_mirror = mirror
         return mirror[1], mirror[2]
 
-    def _candidate_index(self, query: AddressRange) -> Optional[int]:
-        """Index of one stored range overlapping ``query``, or ``None``.
-
-        Ranges are disjoint and sorted, so the only candidate with
-        ``start <= query.end`` that can still overlap is the rightmost one.
-        """
-        idx = bisect.bisect_right(self._starts, query.end) - 1
-        if idx < 0:
-            return None
-        if self._ends[idx] >= query.start:
-            return idx
-        return None
-
     # -- mutations -------------------------------------------------------
 
-    def add(self, item: AddressRange, mask: int = 1) -> None:
-        """Taint ``item``, merging with overlapping/adjacent stored ranges.
-
-        ``mask`` is accepted and ignored: a plain set holds one colour."""
-        start, end = item.start, item.end
+    def add_bounds(self, start: int, end: int, mask: int = 1) -> None:
+        """Taint ``[start, end]``, merging with overlapping/adjacent stored
+        ranges.  ``mask`` is accepted and ignored: a plain set holds one
+        colour."""
         # Find the window of stored ranges that the new range touches
         # (overlap or adjacency), then replace them with one merged range.
         lo = bisect.bisect_left(self._ends, start - 1 if start else 0)
@@ -258,6 +270,9 @@ class RangeSet:
         self._ends[lo:hi] = [end]
         self._total += end - start + 1 - absorbed
         self._version += 1
+
+    def add(self, item: AddressRange, mask: int = 1) -> None:
+        self.add_bounds(item.start, item.end, mask)
 
     def add_many(self, items: List[Tuple[int, int]]) -> Optional[Tuple[int, int]]:
         """Taint every ``(start, end)`` pair in one sorted-merge pass.
@@ -317,7 +332,7 @@ class RangeSet:
     ) -> List[Tuple[bool, int, int]]:
         """Untaint each ``(start, end)`` pair in sequence, one version bump.
 
-        Exactly equivalent to :meth:`remove` per pair **in order** —
+        Exactly :meth:`remove_bounds` per pair **in order** —
         order matters for removes, because an earlier untaint can turn a
         later candidate into a no-op.  Each step reports
         ``(effective, total_size_after, range_count_after)`` so callers
@@ -325,59 +340,47 @@ class RangeSet:
         bookkeeping (``range_count`` can *rise* when a remove splits a
         stored range, so per-step values are required for parity).
         """
-        steps: List[Tuple[bool, int, int]] = []
-        mutated = False
-        for start, end in items:
-            lo = bisect.bisect_left(self._ends, start)
-            hi = bisect.bisect_right(self._starts, end)
-            if lo >= hi:
-                steps.append((False, self._total, len(self._starts)))
-                continue
-            removed = 0
-            for i in range(lo, hi):
-                removed += self._ends[i] - self._starts[i] + 1
-            new_starts: List[int] = []
-            new_ends: List[int] = []
-            if self._starts[lo] < start:
-                new_starts.append(self._starts[lo])
-                new_ends.append(start - 1)
-            if end < self._ends[hi - 1]:
-                new_starts.append(end + 1)
-                new_ends.append(self._ends[hi - 1])
-            self._starts[lo:hi] = new_starts
-            self._ends[lo:hi] = new_ends
-            self._total += sum(
-                e - s + 1 for s, e in zip(new_starts, new_ends)
-            ) - removed
-            mutated = True
-            steps.append((True, self._total, len(self._starts)))
-        if mutated:
+        steps = [
+            (self._cut(start, end), self._total, len(self._starts))
+            for start, end in items
+        ]
+        if any(effective for effective, _, _ in steps):
             self._version += 1
         return steps
 
-    def remove(self, item: AddressRange) -> None:
-        """Untaint ``item``, splitting stored ranges that straddle it."""
-        lo = bisect.bisect_left(self._ends, item.start)
-        hi = bisect.bisect_right(self._starts, item.end)
+    def remove_bounds(self, start: int, end: int) -> None:
+        """Untaint ``[start, end]``, splitting stored ranges that straddle
+        it."""
+        if self._cut(start, end):
+            self._version += 1
+
+    def _cut(self, start: int, end: int) -> bool:
+        """:meth:`remove_bounds` without the version bump; True when any
+        tainted byte was removed."""
+        lo = bisect.bisect_left(self._ends, start)
+        hi = bisect.bisect_right(self._starts, end)
         if lo >= hi:
-            return
+            return False
         removed = 0
         for i in range(lo, hi):
             removed += self._ends[i] - self._starts[i] + 1
         new_starts: List[int] = []
         new_ends: List[int] = []
-        if self._starts[lo] < item.start:
+        if self._starts[lo] < start:
             new_starts.append(self._starts[lo])
-            new_ends.append(item.start - 1)
-        if item.end < self._ends[hi - 1]:
-            new_starts.append(item.end + 1)
+            new_ends.append(start - 1)
+        if end < self._ends[hi - 1]:
+            new_starts.append(end + 1)
             new_ends.append(self._ends[hi - 1])
         self._starts[lo:hi] = new_starts
         self._ends[lo:hi] = new_ends
         self._total += sum(
             e - s + 1 for s, e in zip(new_starts, new_ends)
         ) - removed
-        self._version += 1
+        return True
+
+    def remove(self, item: AddressRange) -> None:
+        self.remove_bounds(item.start, item.end)
 
     def clear(self) -> None:
         self._starts.clear()

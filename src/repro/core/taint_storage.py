@@ -108,57 +108,81 @@ class BoundedRangeCache:
         self._clock = 0
 
     # -- TaintStateLike surface -------------------------------------------
+    #
+    # Each per-event operation exists once, over integer bounds (the
+    # column path's ``starts``/``ends``); the :class:`AddressRange` forms
+    # are one-line delegations.
 
-    def overlaps(self, query: AddressRange) -> bool:
+    def overlaps_bounds(self, start: int, end: int) -> bool:
         """Parallel lookup against on-chip entries, then secondary storage."""
         self.stats.lookups += 1
-        hits = self._cache.overlapping(query)
+        hits = self._cache.overlapping_pairs(start, end)
         if hits:
             self.stats.hits += 1
-            self._touch(hits[0])
+            self._touch(*hits[0])
             return True
-        if self.policy is EvictionPolicy.SPILL and self._secondary.overlaps(query):
+        secondary = self._secondary
+        if self.policy is EvictionPolicy.SPILL and secondary.overlaps_bounds(
+            start, end
+        ):
             # A 'cache miss' serviced from main memory: promote the range.
             self.stats.secondary_hits += 1
-            spilled = self._secondary.overlapping(query)[0]
-            self._secondary.remove(spilled)
-            self._insert(spilled)
+            spilled = secondary.overlapping_pairs(start, end)[0]
+            secondary.remove_bounds(*spilled)
+            self._insert(*spilled)
             return True
         return False
 
-    def mask_overlapping(self, query: AddressRange) -> int:
-        """:meth:`overlaps` as a one-colour mask (1 or 0); one lookup, so
-        the LRU order and :class:`StorageStats` move exactly as theirs."""
-        return 1 if self.overlaps(query) else 0
+    def overlaps(self, query: AddressRange) -> bool:
+        return self.overlaps_bounds(query.start, query.end)
 
-    def add(self, item: AddressRange, mask: int = 1) -> None:
+    def mask_bounds(self, start: int, end: int) -> int:
+        """:meth:`overlaps_bounds` as a one-colour mask (1 or 0); one
+        lookup, so the LRU order and :class:`StorageStats` move exactly
+        as theirs."""
+        return 1 if self.overlaps_bounds(start, end) else 0
+
+    def mask_overlapping(self, query: AddressRange) -> int:
+        return self.mask_bounds(query.start, query.end)
+
+    def add_bounds(self, start: int, end: int, mask: int = 1) -> None:
         # ``mask`` is ignored: the range cache holds one colour.
-        item = self._quantize_out(item)
+        if self.granularity_bits:
+            # Expand to whole blocks (over-taint) under fixed granularity.
+            block_mask = (1 << self.granularity_bits) - 1
+            start, end = start & ~block_mask, end | block_mask
         # The new range may also subsume spilled state; fold it back in so
         # on-chip and secondary views never disagree about the same bytes.
         if self.policy is EvictionPolicy.SPILL:
-            self._secondary.remove(item)
-        self._insert(item)
+            self._secondary.remove_bounds(start, end)
+        self._insert(start, end)
 
-    def remove(self, item: AddressRange) -> None:
-        quantized = self._quantize_in(item)
-        if quantized is None:
-            return
-        for stale in self._cache.overlapping(quantized):
-            self._lru.pop((stale.start, stale.end), None)
-        self._cache.remove(quantized)
-        for survivor in self._cache.overlapping(
-            AddressRange(
-                max(quantized.start - 1, 0) if quantized.start else 0,
-                quantized.end + 1,
-            )
+    def add(self, item: AddressRange, mask: int = 1) -> None:
+        self.add_bounds(item.start, item.end, mask)
+
+    def remove_bounds(self, start: int, end: int) -> None:
+        if self.granularity_bits:
+            # Shrink to fully-covered blocks (conservative untaint).
+            block = 1 << self.granularity_bits
+            start = (start + block - 1) & ~(block - 1)
+            end = ((end + 1) & ~(block - 1)) - 1
+            if start > end:
+                return
+        for stale in self._cache.overlapping_pairs(start, end):
+            self._lru.pop(stale, None)
+        self._cache.remove_bounds(start, end)
+        for survivor in self._cache.overlapping_pairs(
+            max(start - 1, 0), end + 1
         ):
-            self._touch(survivor)
-        self._secondary.remove(quantized)
+            self._touch(*survivor)
+        self._secondary.remove_bounds(start, end)
         # Untainting the middle of an entry splits it into two: a full
         # cache must evict to stay within its entry budget.
         while self._cache.range_count > self.capacity_entries:
             self._evict_one()
+
+    def remove(self, item: AddressRange) -> None:
+        self.remove_bounds(item.start, item.end)
 
     @property
     def total_size(self) -> int:
@@ -255,53 +279,32 @@ class BoundedRangeCache:
 
     # -- internals --------------------------------------------------------
 
-    def _quantize_out(self, item: AddressRange) -> AddressRange:
-        """Expand to whole blocks (over-taint) under fixed granularity."""
-        if self.granularity_bits:
-            return item.aligned_expand(self.granularity_bits)
-        return item
-
-    def _quantize_in(self, item: AddressRange) -> Optional[AddressRange]:
-        """Shrink to fully-covered blocks (conservative untaint)."""
-        if not self.granularity_bits:
-            return item
-        block = 1 << self.granularity_bits
-        start = (item.start + block - 1) & ~(block - 1)
-        end = ((item.end + 1) & ~(block - 1)) - 1
-        if start > end:
-            return None
-        return AddressRange(start, end)
-
-    def _insert(self, item: AddressRange) -> None:
+    def _insert(self, start: int, end: int) -> None:
         # Adding may coalesce with overlapping *or adjacent* entries, so
         # invalidate LRU keys over a one-byte-widened query.
-        widened = AddressRange(max(item.start - 1, 0), item.end + 1)
-        for merged_away in self._cache.overlapping(widened):
-            self._lru.pop((merged_away.start, merged_away.end), None)
-        self._cache.add(item)
-        merged = self._cache.overlapping(item)[0]
-        self._touch(merged)
+        for merged_away in self._cache.overlapping_pairs(
+            max(start - 1, 0), end + 1
+        ):
+            self._lru.pop(merged_away, None)
+        self._cache.add_bounds(start, end)
+        self._touch(*self._cache.overlapping_pairs(start, end)[0])
         while self._cache.range_count > self.capacity_entries:
             self._evict_one()
 
-    def _touch(self, item: AddressRange) -> None:
+    def _touch(self, start: int, end: int) -> None:
         self._clock += 1
-        self._lru[(item.start, item.end)] = self._clock
+        self._lru[(start, end)] = self._clock
 
     def _evict_one(self) -> None:
-        victim_key = min(
-            ((start, end) for start, end in self._lru),
-            key=lambda key: self._lru[key],
-        )
-        victim = AddressRange(*victim_key)
-        del self._lru[victim_key]
-        self._cache.remove(victim)
+        victim = min(self._lru, key=self._lru.__getitem__)
+        del self._lru[victim]
+        self._cache.remove_bounds(*victim)
         self.stats.evictions += 1
         if self.policy is EvictionPolicy.SPILL:
-            self._secondary.add(victim)
+            self._secondary.add_bounds(*victim)
         else:
             self.stats.dropped_ranges += 1
-            self.stats.dropped_bytes += victim.size
+            self.stats.dropped_bytes += victim[1] - victim[0] + 1
 
 
 def paper_default_storage() -> BoundedRangeCache:

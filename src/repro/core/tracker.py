@@ -44,12 +44,30 @@ class TaintStateLike:
     """Structural interface the tracker requires of its taint state.
 
     Algorithm 1 runs once, over colour masks: a load asks
-    ``mask_overlapping`` (the OR of the overlapped ranges' colour masks;
-    0 means untainted) and an in-window store calls ``add(item, mask)``
-    with its window's mask.  Plain states are the one-colour case: they
-    answer 0 or 1 and ignore the mask.  ``overlaps`` is the untaint and
-    sink-check test.
+    ``mask_bounds(start, end)`` (the OR of the overlapped ranges' colour
+    masks; 0 means untainted) and an in-window store calls
+    ``add_bounds(start, end, mask)`` with its window's mask.  Plain
+    states are the one-colour case: they answer 0 or 1 and ignore the
+    mask.  ``overlaps_bounds`` is the untaint test and ``remove_bounds``
+    the untaint.  Bounds are inclusive integers, as the column path
+    carries them; each has an :class:`AddressRange` twin
+    (``mask_overlapping``, ``add``, ``overlaps``, ``remove``) that
+    delegates to it, for per-event callers and sink checks.
     """
+
+    def overlaps_bounds(self, start: int, end: int) -> bool:  # pragma: no cover
+        raise NotImplementedError
+
+    def mask_bounds(self, start: int, end: int) -> int:  # pragma: no cover
+        raise NotImplementedError
+
+    def add_bounds(
+        self, start: int, end: int, mask: int
+    ) -> None:  # pragma: no cover
+        raise NotImplementedError
+
+    def remove_bounds(self, start: int, end: int) -> None:  # pragma: no cover
+        raise NotImplementedError
 
     def overlaps(self, query: AddressRange) -> bool:  # pragma: no cover
         raise NotImplementedError
@@ -570,8 +588,10 @@ class PIFTTracker:
         once per PID switch (lazily, at its first mutation) and the
         current state's own counts are added on top.  The vectorised
         kernel drops into this loop around relevant events.  Loads take
-        their window's colour mask from ``mask_overlapping`` and stores
-        taint with it, so plain and coloured states share the loop.
+        their window's colour mask from ``mask_bounds`` and stores taint
+        with it, so plain and coloured states share the loop.  Bounds
+        come straight from the ``starts``/``ends`` columns: the loop
+        builds no :class:`AddressRange`.
         """
         if "observe" in self.__dict__:
             observe = self.observe
@@ -591,7 +611,8 @@ class PIFTTracker:
         record_timeline = self._record_timeline
         timeline = stats.timeline
         is_loads = columns.is_loads
-        ranges = columns.ranges
+        starts = columns.starts
+        ends = columns.ends
         indices = columns.indices
         pids = columns.pids
         loads = stats.loads_observed
@@ -607,7 +628,7 @@ class PIFTTracker:
         # Tainted bytes / ranges held by every PID but the current one;
         # None until the current PID's first mutation.
         other_size = other_count = None
-        mask_overlapping = overlaps = add = remove = None
+        mask_bounds = overlaps_bounds = add_bounds = remove_bounds = None
         try:
             for i in range(start, stop):
                 pid = pids[i]
@@ -617,20 +638,21 @@ class PIFTTracker:
                         state = states[pid] = self._state_factory()
                         windows[pid] = _WindowState()
                     window = windows[pid]
-                    mask_overlapping = state.mask_overlapping
-                    overlaps = state.overlaps
-                    add = state.add
-                    remove = state.remove
+                    mask_bounds = state.mask_bounds
+                    overlaps_bounds = state.overlaps_bounds
+                    add_bounds = state.add_bounds
+                    remove_bounds = state.remove_bounds
                     current_pid = pid
                     other_size = None
                 k = indices[i]
                 if k >= window.instructions_retired:
                     instructions += k + 1 - window.instructions_retired
                     window.instructions_retired = k + 1
-                address_range = ranges[i]
+                first = starts[i]
+                final = ends[i]
                 if is_loads[i]:
                     loads += 1
-                    mask = mask_overlapping(address_range)
+                    mask = mask_bounds(first, final)
                     if mask:
                         window.last_tainted_load = k
                         window.propagations = 0
@@ -644,11 +666,11 @@ class PIFTTracker:
                     and last <= k <= last + window_size
                     and window.propagations < max_propagations
                 ):
-                    add(address_range, window.colour_mask)
+                    add_bounds(first, final, window.colour_mask)
                     window.propagations += 1
                     taints += 1
-                elif untainting and overlaps(address_range):
-                    remove(address_range)
+                elif untainting and overlaps_bounds(first, final):
+                    remove_bounds(first, final)
                     untaints += 1
                 else:
                     continue

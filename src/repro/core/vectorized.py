@@ -52,7 +52,6 @@ import warnings
 from typing import TYPE_CHECKING
 
 from repro.core.colours import ColourRangeSet
-from repro.core.ranges import AddressRange
 
 try:
     import numpy as _np
@@ -451,7 +450,7 @@ def _add_run(stats, state, pairs, gmask, other_size, other_count):
     else:
         steps = []
         for pair_start, pair_end in pairs:
-            state.add(AddressRange(pair_start, pair_end))
+            state.add_bounds(pair_start, pair_end)
             steps.append((state.total_size, state.range_count))
         starts, ends = state.as_arrays()
         hull_lo = min(s for s, _ in pairs)
@@ -583,8 +582,9 @@ def _dense_span(
                 # what the window-opening load saw (1 on a plain state).
                 wmask = (
                     int(colours[0][last_load]) if colours is not None
-                    else state.mask_overlapping(
-                        AddressRange(int(S[last_load]), int(E[last_load]))
+                    else state.mask_bounds(
+                        columns.starts[lo + last_load],
+                        columns.ends[lo + last_load],
                     )
                 )
         if cut >= n:
@@ -605,7 +605,9 @@ def _dense_span(
             # one sorted-merge bulk add.
             stop_rel = _np.flatnonzero(~taint[cut - p :])
             j = cut + (int(stop_rel[0]) if stop_rel.size else n - cut)
-            pairs = list(zip(S[cut:j].tolist(), E[cut:j].tolist()))
+            pairs = list(zip(
+                columns.starts[lo + cut:lo + j], columns.ends[lo + cut:lo + j]
+            ))
             # A taint run holds no loads, so the window mask at the cut
             # (``wmask``, just committed) colours the whole run.
             extent = _add_run(

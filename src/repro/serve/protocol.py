@@ -186,8 +186,10 @@ def decode_events(frame: dict) -> List[Tuple[int, EventColumns]]:
 
     The whole frame is validated first (:func:`_validated_columns`).
     Groups come in order of each PID's first event, and each keeps its
-    PID's events in stream order.  No :class:`MemoryAccess` is built:
-    the columns go to the shard FIFOs as they are, and
+    PID's events in stream order.  No :class:`MemoryAccess` or
+    :class:`AddressRange` is built: the frame's ``starts`` list is kept
+    as it is, ``ends`` is computed from ``sizes``, the columns go to the
+    shard FIFOs as they are, and
     :attr:`EventColumns.events` is built only if something asks for it.
     """
     kinds, starts, sizes, indices, pids = _validated_columns(frame)
@@ -195,10 +197,11 @@ def decode_events(frame: dict) -> List[Tuple[int, EventColumns]]:
         return []
     is_loads = list(map("l".__eq__, kinds))
     ends = [start + size - 1 for start, size in zip(starts, sizes)]
-    ranges = list(map(AddressRange, starts, ends))
     first = pids[0]
     if pids.count(first) == len(pids):
-        return [(first, EventColumns(None, is_loads, ranges, indices, pids))]
+        return [(first, EventColumns(
+            None, is_loads, starts, ends, indices, pids
+        ))]
     positions: Dict[int, List[int]] = {}
     for position, pid in enumerate(pids):
         positions.setdefault(pid, []).append(position)
@@ -206,7 +209,8 @@ def decode_events(frame: dict) -> List[Tuple[int, EventColumns]]:
         (pid, EventColumns(
             None,
             [is_loads[i] for i in group],
-            [ranges[i] for i in group],
+            [starts[i] for i in group],
+            [ends[i] for i in group],
             [indices[i] for i in group],
             [pid] * len(group),
         ))
@@ -214,13 +218,26 @@ def decode_events(frame: dict) -> List[Tuple[int, EventColumns]]:
     ]
 
 
+def int_field(frame: dict, name: str, default: Optional[int] = None) -> int:
+    """``frame[name]`` when it is a JSON integer (``default`` when the
+    field is absent and one is given); raises :class:`ProtocolError`
+    otherwise.  ``type`` (not ``int()``) so that null, arrays, strings,
+    floats and booleans are refused instead of crashing or coercing."""
+    value = frame.get(name, default)
+    if type(value) is not int:
+        raise ProtocolError(
+            f"{frame.get('op')} frame field '{name}' is not an integer: "
+            f"{value!r}"
+        )
+    return value
+
+
 def frame_range(frame: dict) -> AddressRange:
     """The ``start``/``size`` pair of a source/check frame as a range."""
+    start, size = int_field(frame, "start"), int_field(frame, "size")
     try:
-        return AddressRange.from_base_size(
-            int(frame["start"]), int(frame["size"])
-        )
-    except (KeyError, TypeError, ValueError) as error:
+        return AddressRange.from_base_size(start, size)
+    except ValueError as error:
         raise ProtocolError(f"frame lacks a valid range: {error}") from error
 
 

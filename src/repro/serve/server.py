@@ -42,6 +42,13 @@ _ADMIN_OPS = frozenset(
 READER_LIMIT = 16 * 1024 * 1024
 
 
+def _optional_worker(frame: dict) -> Optional[int]:
+    """An admin verb's optional target ``worker`` (absent or null: any)."""
+    if frame.get("worker") is None:
+        return None
+    return protocol.int_field(frame, "worker")
+
+
 class PIFTServer:
     """The long-lived daemon: router + listeners + scrape endpoint."""
 
@@ -51,7 +58,8 @@ class PIFTServer:
         self.shutdown_event = asyncio.Event()
         self.connections_served = 0
         self.frames_received = 0
-        #: ``events`` frames the validator refused (nothing was ingested).
+        #: Frames refused with a :class:`~repro.serve.protocol.ProtocolError`
+        #: (a malformed or ill-typed frame; nothing of it took effect).
         self.rejected_frames = 0
         self._servers: list = []
         self.tcp_port: Optional[int] = None
@@ -119,6 +127,7 @@ class PIFTServer:
                 try:
                     frame = protocol.decode_frame(line)
                 except protocol.ProtocolError as error:
+                    self.rejected_frames += 1
                     await self._send(writer, protocol.error_frame(str(error)))
                     continue
                 op = frame.get("op")
@@ -157,6 +166,8 @@ class PIFTServer:
                         ))
                 except (protocol.ProtocolError, ShardError,
                         ValueError, KeyError) as error:
+                    if isinstance(error, protocol.ProtocolError):
+                        self.rejected_frames += 1
                     await self._send(
                         writer,
                         protocol.error_frame(str(error), op=str(op)),
@@ -181,7 +192,7 @@ class PIFTServer:
     # -- device ops ------------------------------------------------------
 
     async def _op_hello(self, frame: dict, writer) -> str:
-        version = int(frame.get("version", -1))
+        version = protocol.int_field(frame, "version", -1)
         if version != protocol.PROTOCOL_VERSION:
             raise protocol.ProtocolError(
                 f"protocol version {version} unsupported "
@@ -208,11 +219,7 @@ class PIFTServer:
         device = self._require_device(device)
         router = self.router
         touched = []
-        try:
-            groups = protocol.decode_events(frame)
-        except protocol.ProtocolError:
-            self.rejected_frames += 1
-            raise
+        groups = protocol.decode_events(frame)
         for pid, columns in groups:
             shard = await router.shard_for(device, pid)
             shard.ingest(columns)
@@ -227,9 +234,14 @@ class PIFTServer:
 
     async def _op_source(self, device, frame: dict, writer) -> None:
         device = self._require_device(device)
-        shard = await self.router.shard_for(device, int(frame.get("pid", 0)))
+        address_range = protocol.frame_range(frame)
+        # Registration is immediate, so the index is unused; an
+        # ill-typed one still marks a malformed frame.
+        protocol.int_field(frame, "index", 0)
+        pid = protocol.int_field(frame, "pid", 0)
+        shard = await self.router.shard_for(device, pid)
         shard.register_source(
-            protocol.frame_range(frame),
+            address_range,
             colour=(
                 str(frame.get("colour") or frame.get("name") or "")
                 if self.router.coloured else None
@@ -238,17 +250,20 @@ class PIFTServer:
 
     async def _op_check(self, device, frame: dict, writer) -> None:
         device = self._require_device(device)
-        shard = await self.router.shard_for(device, int(frame.get("pid", 0)))
+        address_range = protocol.frame_range(frame)
+        index = protocol.int_field(frame, "index", 0)
+        pid = protocol.int_field(frame, "pid", 0)
+        shard = await self.router.shard_for(device, pid)
         tainted, colours, degraded = shard.check(
-            protocol.frame_range(frame),
+            address_range,
             immediate=bool(frame.get("immediate", False)),
         )
         verdict = {
             "op": "verdict",
             "sink": frame.get("sink", ""),
             "channel": frame.get("channel", ""),
-            "index": frame.get("index", 0),
-            "pid": frame.get("pid", 0),
+            "index": index,
+            "pid": pid,
             "tainted": tainted,
             "colours": colours,
             "degraded": degraded,
@@ -292,32 +307,31 @@ class PIFTServer:
             })
         elif op == "drain":
             snapshot = router.drain_shard(
-                str(frame.get("device", "")), int(frame.get("pid", 0))
+                str(frame.get("device", "")),
+                protocol.int_field(frame, "pid", 0),
             )
             await self._send(
                 writer, {"op": "drained", "snapshot": snapshot}
             )
         elif op == "restore":
-            worker = frame.get("worker")
             placed = router.restore_shard(
                 frame.get("snapshot") or {},
-                worker_id=None if worker is None else int(worker),
+                worker_id=_optional_worker(frame),
             )
             await self._send(writer, {"op": "restored", "worker": placed})
         elif op == "migrate":
             device = str(frame.get("device", ""))
-            pid = int(frame.get("pid", 0))
-            worker = frame.get("worker")
+            pid = protocol.int_field(frame, "pid", 0)
+            worker = _optional_worker(frame)
             snapshot = router.drain_shard(device, pid)
-            placed = router.restore_shard(
-                snapshot, worker_id=None if worker is None else int(worker)
-            )
+            placed = router.restore_shard(snapshot, worker_id=worker)
             await self._send(writer, {"op": "migrated", "worker": placed})
         elif op == "stop_worker":
-            migrated = await router.stop_worker(int(frame.get("worker", -1)))
+            worker = protocol.int_field(frame, "worker", -1)
+            migrated = await router.stop_worker(worker)
             await self._send(writer, {
                 "op": "worker_stopped",
-                "worker": int(frame.get("worker", -1)),
+                "worker": worker,
                 "migrated": [[device, pid] for device, pid in migrated],
             })
         elif op == "shutdown":
@@ -372,7 +386,8 @@ class PIFTServer:
                 f"{kernel[strategy + '_events']}"
             )
         counter("pift_serve_rejected_frames",
-                "events frames refused by the validator", self.rejected_frames)
+                "frames refused as malformed or ill-typed",
+                self.rejected_frames)
         counter("pift_serve_connections",
                 "ingestion connections accepted", self.connections_served)
         counter("pift_serve_frames",

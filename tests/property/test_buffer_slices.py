@@ -98,7 +98,8 @@ def wire_columns(events):
     return EventColumns(
         None,
         [event.is_load for event in events],
-        [event.address_range for event in events],
+        [event.address_range.start for event in events],
+        [event.address_range.end for event in events],
         [event.instruction_index for event in events],
         [event.pid for event in events],
     )

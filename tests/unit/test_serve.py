@@ -9,6 +9,7 @@ and mid-stream-migration configurations.
 """
 
 import asyncio
+import copy
 
 import pytest
 
@@ -210,6 +211,91 @@ class TestHostileFrames:
         assert stats["server"]["rejected_frames"] == 1
         # All-or-nothing: no event of the refused frame reached a shard.
         assert stats["events_ingested"] == len(recorded.trace.events)
+
+
+    def test_ill_typed_fields_are_refused_and_stream_continues(
+        self, tmp_path
+    ):
+        """A null ``hello.version``, a ``source`` pid that is an array and
+        a null ``check`` pid each get an error frame (not a dead
+        connection), as do string and float admin pids; then a valid
+        run streams byte-exact against batch replay and ends with
+        ``bye``."""
+        recorded = make_run(pids=(0, 5))
+
+        async def scenario():
+            async with Daemon(tmp_path) as daemon:
+                reader, writer = await open_connection(
+                    unix_path=daemon.path
+                )
+                client = DeviceClient(reader, writer, "dev-a")
+                hello = protocol.hello_frame("dev-a")
+                hello["version"] = None
+                with pytest.raises(ServeClientError, match="'version'"):
+                    await client.request(hello, "welcome")
+                await client.request(protocol.hello_frame("dev-a"), "welcome")
+                source = protocol.source_frame(recorded.sources[0])
+                source["pid"] = [1]
+                with pytest.raises(ServeClientError, match="'pid'"):
+                    await client.request(source, "ack")
+                check = protocol.check_frame(recorded.sink_checks[0])
+                check["pid"] = None
+                with pytest.raises(ServeClientError, match="'pid'"):
+                    await client.request(check, "verdict")
+                verdicts = await client.stream_run(recorded)
+                admin = await AdminClient.connect(unix_path=daemon.path)
+                for frame, expect in (
+                    ({"op": "drain", "device": "dev-a", "pid": "0"},
+                     "drained"),
+                    ({"op": "migrate", "device": "dev-a", "pid": 3.7},
+                     "migrated"),
+                    ({"op": "stop_worker", "worker": True},
+                     "worker_stopped"),
+                ):
+                    with pytest.raises(ServeClientError, match="integer"):
+                        await admin.request(frame, expect)
+                stats = await admin.stats()
+                await admin.close()
+                bye = await client.end()
+                return verdicts, stats, bye
+
+        verdicts, stats, bye = asyncio.run(scenario())
+        want = [
+            protocol.outcome_key(o)
+            for o in replay(recorded, CONFIG).sink_outcomes
+        ]
+        assert [protocol.verdict_key(v) for v in verdicts] == want
+        assert bye["op"] == "bye" and bye["verdicts"] == len(want)
+        assert stats["server"]["rejected_frames"] == 6
+        # Nothing of a refused frame took effect: no shard was parked,
+        # migrated or stopped, and the refused check left no verdict.
+        assert stats["migrations"] == 0 and stats["shards"] == 2
+        assert stats["checks_answered"] == len(want)
+
+    def test_corrupted_snapshot_row_is_refused_on_restore(self, tmp_path):
+        """A drained snapshot whose queue holds a row with ``end <
+        start`` fails ``restore`` with an error frame; the intact
+        snapshot then restores."""
+        async def scenario():
+            async with Daemon(tmp_path) as daemon:
+                client = await DeviceClient.connect(
+                    "dev-a", unix_path=daemon.path
+                )
+                await client.stream_run(make_run())
+                admin = await AdminClient.connect(unix_path=daemon.path)
+                snapshot = await admin.drain("dev-a", 0)
+                corrupted = copy.deepcopy(snapshot)
+                corrupted["buffered"]["queue"].append(
+                    ["store", 0x20, 0x10, 99, 0]
+                )
+                with pytest.raises(ServeClientError, match="precedes"):
+                    await admin.restore(corrupted)
+                worker = await admin.restore(snapshot)
+                await admin.close()
+                await client.end()
+                return worker
+
+        assert asyncio.run(scenario()) in (0, 1)
 
 
 class TestStreamAndQuery:

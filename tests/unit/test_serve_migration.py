@@ -230,6 +230,23 @@ class TestShardSnapshotValidation:
         with pytest.raises(ShardError, match="colour"):
             self.make_shard(coloured=False).restore(snapshot)
 
+    @pytest.mark.parametrize("start, end, reason", [
+        (-4, 8, "negative start"),
+        (0x20, 0x10, "precedes"),
+    ])
+    def test_rejects_corrupted_queue_row(self, start, end, reason):
+        """A snapshot row the FIFO could not have held is refused with
+        the same ``ValueError`` an :class:`AddressRange` raises."""
+        shard = self.make_shard()
+        shard.register_source(SRC)
+        shard.ingest(leaky_events(rounds=4))
+        snapshot = shard.snapshot()
+        rows = snapshot["buffered"]["queue"]
+        assert len(rows) == 8  # nothing drained: the rows travel
+        rows[3][1], rows[3][2] = start, end
+        with pytest.raises(ValueError, match=reason):
+            self.make_shard().restore(snapshot)
+
     def test_coloured_shard_attribution_after_migration(self):
         donor = self.make_shard(coloured=True)
         donor.register_source(SRC, colour="imei")

@@ -9,15 +9,25 @@ streaming loaders the fleet client feeds on: the incremental
 import gzip
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.accuracy import AppRun
 from repro.analysis.replay import replay, replay_plan_for
 from repro.analysis.tracefile import FORMAT_VERSION, TraceFormatError
 from repro.android.device import RecordedRun, SinkCheck, SourceRegistration
 from repro.core.config import PIFTConfig
-from repro.core.events import EventTrace, load, store
+from repro.core.events import (
+    AccessKind,
+    EventColumns,
+    EventTrace,
+    MemoryAccess,
+    load,
+    store,
+)
 from repro.core.ranges import AddressRange
 from repro.serve import protocol
+from repro.serve.shard import TrackerShard
 from repro.store import ArtifactStore, StoreKey
 from repro.store.suitefile import (
     dump_suite_bytes,
@@ -153,6 +163,122 @@ class TestFrames:
     def test_frame_range_rejects_missing_fields(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.frame_range({"op": "check"})
+
+    @pytest.mark.parametrize("value", [None, [1], "12", 3.7, True, {}])
+    def test_int_field_refuses_instead_of_coercing(self, value):
+        with pytest.raises(protocol.ProtocolError, match="'pid'"):
+            protocol.int_field({"op": "check", "pid": value}, "pid", 0)
+
+    def test_int_field_takes_integers_and_defaults(self):
+        assert protocol.int_field({"pid": 12}, "pid", 0) == 12
+        assert protocol.int_field({}, "pid", 0) == 0
+        with pytest.raises(protocol.ProtocolError):
+            protocol.int_field({}, "start")
+
+
+wire_events = st.lists(
+    st.builds(
+        lambda is_load, start, size, index, pid: MemoryAccess(
+            AccessKind.LOAD if is_load else AccessKind.STORE,
+            AddressRange.from_base_size(start, size),
+            index,
+            pid,
+        ),
+        st.booleans(),
+        st.integers(0, (1 << 40)),
+        st.integers(1, 64),
+        st.integers(0, 1 << 32),
+        st.sampled_from([0, 1, 7, 1 << 20]),
+    ),
+    max_size=60,
+)
+
+
+class TestIntegerColumns:
+    """The wire decoder and ``EventColumns.from_events`` are two roads to
+    the same integer-bound columns."""
+
+    @given(wire_events)
+    @settings(max_examples=200, deadline=None)
+    def test_decode_equals_from_events_per_pid(self, events):
+        line = protocol.encode_frame(protocol.events_frame(events))
+        groups = protocol.decode_events(protocol.decode_frame(line))
+        expected = {}
+        for event in events:
+            expected.setdefault(event.pid, []).append(event)
+        assert [pid for pid, _ in groups] == list(expected)
+        for pid, columns in groups:
+            want = EventColumns.from_events(expected[pid])
+            assert not hasattr(columns, "ranges")
+            for name in ("is_loads", "starts", "ends", "indices", "pids"):
+                assert getattr(columns, name) == getattr(want, name), name
+            got_arrays, want_arrays = columns.arrays(), want.arrays()
+            for name in ("starts", "ends", "is_load", "indices", "pids"):
+                assert (
+                    getattr(got_arrays, name).tolist()
+                    == getattr(want_arrays, name).tolist()
+                ), name
+            assert got_arrays.pid_values == want_arrays.pid_values
+            assert list(columns.events) == expected[pid]
+
+    @pytest.mark.parametrize("coloured", [False, True])
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_decode_and_drain_build_no_address_range(
+        self, monkeypatch, coloured, vectorized
+    ):
+        """One 512-event frame, decoded and drained through a shard,
+        constructs zero :class:`AddressRange` objects — in the scalar
+        loop and in the dense executor (prefix commits, a taint run, an
+        untaint run), plain and coloured."""
+        events = []
+        index = 1
+        for step in range(128):
+            if step == 40:
+                # The one content mutation run: two fresh taints, then
+                # an out-of-window store that untaints the first.
+                fresh = 0x9000
+                events += [
+                    load(0x1000, 0x1003, index),
+                    store(fresh, fresh + 3, index + 1),
+                    store(fresh + 8, fresh + 11, index + 2),
+                    store(fresh, fresh + 3, index + 30),
+                ]
+            else:
+                # Taint-adds the source range already covers.
+                events += [
+                    load(0x1000, 0x1003, index),
+                    store(0x1010, 0x1013, index + 1),
+                    load(0x5000, 0x5003, index + 2),
+                    store(0x1020, 0x1023, index + 3),
+                ]
+            index += 40
+        line = protocol.encode_frame(protocol.events_frame(events))
+        shard = TrackerShard(
+            ("dev", 0), PIFTConfig(5, 2, vectorized=vectorized),
+            capacity=1024, coloured=coloured,
+        )
+        shard.register_source(AddressRange(0x1000, 0x10FF))
+        built = []
+        original = AddressRange.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(AddressRange, "__post_init__", counting)
+        [(pid, columns)] = protocol.decode_events(protocol.decode_frame(line))
+        shard.ingest(columns)
+        assert shard.drain() == 512
+        constructed = len(built)
+        columns.events  # the control: materialising does build ranges
+        monkeypatch.undo()
+        assert constructed == 0
+        assert len(built) == 512
+        stats = shard.buffered.tracker.stats
+        assert (stats.taint_operations, stats.untaint_operations) == (256, 1)
+        kernel = shard.buffered.tracker.kernel
+        strategy = "dense_events" if vectorized else "scalar_events"
+        assert getattr(kernel, strategy) == 512
 
 
 class TestRunToFrames:

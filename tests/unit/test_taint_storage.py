@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.replay import replay
 from repro.android.device import RecordedRun, SinkCheck, SourceRegistration
+from repro.core.colours import ColourRangeSet
 from repro.core.config import PIFTConfig
 from repro.core.events import EventTrace, load, store
 from repro.core.ranges import AddressRange, RangeSet
@@ -252,6 +253,70 @@ class TestMaskOverlapping:
                     plain.overlaps(item)
                 )
             assert masked.snapshot() == plain.snapshot()
+
+
+class TestIntegerBounds:
+    """Each integer-bound method is its :class:`AddressRange` twin: twin
+    states take the same operations, one through the range forms and one
+    through the bound forms, and must agree on every answer and, after
+    every step, on their whole state — for the bounded caches that
+    includes the LRU order and :class:`StorageStats`."""
+
+    FACTORIES = {
+        "rangeset": RangeSet,
+        "colour": ColourRangeSet,
+        "spill": lambda: BoundedRangeCache(2, EvictionPolicy.SPILL),
+        "drop": lambda: BoundedRangeCache(2, EvictionPolicy.DROP),
+        "spill_blocks": lambda: BoundedRangeCache(
+            2, EvictionPolicy.SPILL, granularity_bits=2
+        ),
+        "drop_blocks": lambda: BoundedRangeCache(
+            2, EvictionPolicy.DROP, granularity_bits=2
+        ),
+    }
+
+    @staticmethod
+    def state_of(state):
+        if isinstance(state, BoundedRangeCache):
+            # The snapshot carries cache, secondary, stats and the LRU
+            # entries in dict order.
+            return state.snapshot()
+        return state.snapshot(), state.total_size, state.range_count
+
+    @pytest.mark.parametrize("kind", sorted(FACTORIES))
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "remove", "overlaps", "mask"]),
+                st.integers(0, 200),
+                st.integers(0, 12),
+                st.sampled_from([1, 2, 4, 3]),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bound_methods_equal_range_methods(self, kind, ops):
+        by_range = self.FACTORIES[kind]()
+        by_bounds = self.FACTORIES[kind]()
+        for op, start, size, mask in ops:
+            end = start + size
+            item = AddressRange(start, end)
+            if op == "add":
+                by_range.add(item, mask)
+                by_bounds.add_bounds(start, end, mask)
+            elif op == "remove":
+                by_range.remove(item)
+                by_bounds.remove_bounds(start, end)
+            elif op == "overlaps":
+                assert by_range.overlaps(item) == by_bounds.overlaps_bounds(
+                    start, end
+                )
+            else:
+                assert by_range.mask_overlapping(item) == (
+                    by_bounds.mask_bounds(start, end)
+                )
+            assert self.state_of(by_range) == self.state_of(by_bounds)
 
 
 def pinned_run() -> RecordedRun:
