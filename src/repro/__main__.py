@@ -598,11 +598,15 @@ def cmd_trace(args) -> int:
 
 def cmd_analyze(args) -> int:
     from repro.analysis.replay import replay
-    from repro.analysis.tracefile import load_recorded_run
+    from repro.analysis.tracefile import TraceFormatError, load_recorded_run
 
     config = _config(args)
+    try:
+        recorded = load_recorded_run(args.trace)
+    except TraceFormatError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     telemetry = _make_telemetry(args)
-    recorded = load_recorded_run(args.trace)
     result = replay(recorded, config, telemetry=telemetry)
     stats = result.stats
     print(f"{config} over {args.trace}")

@@ -34,7 +34,13 @@ from repro.core.ranges import RangeSet
 from repro.core.tracker import PIFTTracker, StateFactory
 from repro.android.device import RecordedRun
 from repro.analysis.accuracy import AccuracyReport, AppRun
-from repro.analysis.replay import ReplayResult, SinkOutcome, replay
+from repro.analysis.replay import (
+    ReplayResult,
+    SinkOutcome,
+    _walk_plan,
+    replay,
+    replay_plan_for,
+)
 
 #: The loss rates the acceptance sweep runs (log-spaced, plus zero).
 DEFAULT_RATES: Tuple[float, ...] = (0.0, 1e-4, 1e-3, 1e-2, 1e-1)
@@ -57,45 +63,31 @@ def faulted_replay(
     tracker = PIFTTracker(config, state_factory=state_factory, telemetry=telemetry)
     injector = plan.injector(telemetry=telemetry)
     result = ReplayResult(config=config, stats=tracker.stats)
-    sources = sorted(recorded.sources, key=lambda s: s.instruction_index)
-    checks = sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
-    source_i = 0
-    check_i = 0
 
-    def drain_pending(upto_index: int) -> None:
-        nonlocal source_i, check_i
-        while (
-            source_i < len(sources)
-            and sources[source_i].instruction_index <= upto_index
-        ):
-            source = sources[source_i]
-            tracker.taint_source(source.address_range, pid=source.pid)
-            source_i += 1
-        while (
-            check_i < len(checks)
-            and checks[check_i].instruction_index <= upto_index
-        ):
-            check = checks[check_i]
-            result.sink_outcomes.append(
-                SinkOutcome(
-                    sink_name=check.sink_name,
-                    channel=check.channel,
-                    instruction_index=check.instruction_index,
-                    tainted=tracker.check(check.address_range, pid=check.pid),
-                    pid=check.pid,
-                )
-            )
-            check_i += 1
-
-    for event in recorded.trace:
-        drain_pending(event.instruction_index)
-        for delivered in injector.feed(event):
+    def deliver(events) -> None:
+        for delivered in events:
             tracker.observe(delivered)
             injector.state_faults(tracker, delivered.pid)
-    for delivered in injector.flush():
-        tracker.observe(delivered)
-        injector.state_faults(tracker, delivered.pid)
-    drain_pending(recorded.instruction_count)
+
+    def feed(columns, lo: int, hi: int) -> None:
+        # One event at a time through the injector; whatever its reorder
+        # buffer still holds is flushed before the final boundary.
+        for event in columns.events[lo:hi]:
+            deliver(injector.feed(event))
+        if hi == len(columns):
+            deliver(injector.flush())
+
+    result.sink_outcomes = _walk_plan(
+        recorded,
+        replay_plan_for(recorded),
+        feed,
+        lambda source: tracker.taint_source(
+            source.address_range, pid=source.pid
+        ),
+        lambda check: SinkOutcome.of(
+            check, tracker.check(check.address_range, pid=check.pid)
+        ),
+    )
     return result, injector.stats
 
 
@@ -421,8 +413,7 @@ def detection_latency_table(
     """
     oracle = replay(recorded, config)
     oracle_positives = sum(1 for o in oracle.sink_outcomes if o.tainted)
-    sources = sorted(recorded.sources, key=lambda s: s.instruction_index)
-    checks = sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
+    replay_plan = replay_plan_for(recorded)
     rows: List[LatencyRow] = []
     for rate in rates:
         plan = FaultPlan(
@@ -435,36 +426,26 @@ def detection_latency_table(
             policy=policy,
             faults=plan if plan.enabled else None,
         )
-        source_i = check_i = 0
-        immediate_positives = 0
 
-        def drain_pending(upto_index: int) -> None:
-            nonlocal source_i, check_i, immediate_positives
-            while (
-                source_i < len(sources)
-                and sources[source_i].instruction_index <= upto_index
-            ):
-                source = sources[source_i]
-                buffered.taint_source(source.address_range, pid=source.pid)
-                source_i += 1
-            while (
-                check_i < len(checks)
-                and checks[check_i].instruction_index <= upto_index
-            ):
-                check = checks[check_i]
-                verdict = buffered.check_immediate_verdict(
-                    check.address_range, pid=check.pid,
-                    sink_name=check.sink_name,
-                )
-                immediate_positives += int(verdict.tainted)
-                check_i += 1
+        def feed(columns, lo: int, hi: int) -> None:
+            for event in columns.events[lo:hi]:
+                buffered.on_memory_event(event)
+            if hi == len(columns):
+                buffered.drain_all()
 
-        for event in recorded.trace:
-            drain_pending(event.instruction_index)
-            buffered.on_memory_event(event)
+        verdicts = _walk_plan(
+            recorded,
+            replay_plan,
+            feed,
+            lambda source: buffered.taint_source(
+                source.address_range, pid=source.pid
+            ),
+            lambda check: buffered.check_immediate_verdict(
+                check.address_range, pid=check.pid, sink_name=check.sink_name
+            ),
+        )
         buffered.drain_all()
-        drain_pending(recorded.instruction_count)
-        buffered.drain_all()
+        immediate_positives = sum(verdict.tainted for verdict in verdicts)
 
         behind = [late.events_behind for late in buffered.late_detections]
         rows.append(

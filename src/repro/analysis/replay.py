@@ -17,6 +17,7 @@ replay many.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -40,6 +41,16 @@ class SinkOutcome:
     #: :func:`replay_coloured`.  ``tainted`` is exactly ``bool(colours)``
     #: there — the union projection.
     colours: Tuple[str, ...] = ()
+
+    @classmethod
+    def of(
+        cls, check, tainted: bool, colours: Tuple[str, ...] = ()
+    ) -> "SinkOutcome":
+        """The verdict ``tainted`` for one recorded sink check."""
+        return cls(
+            check.sink_name, check.channel, check.instruction_index,
+            tainted, check.pid, colours,
+        )
 
 
 @dataclass
@@ -83,42 +94,35 @@ def build_replay_plan(recorded: RecordedRun) -> ReplayPlan:
     checks = tuple(
         sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
     )
+    # Each key list ends in a sentinel no index reaches.
+    source_keys = [source.instruction_index for source in sources]
+    source_keys.append(float("inf"))
+    check_keys = [check.instruction_index for check in checks]
+    check_keys.append(float("inf"))
     boundaries: List[Tuple[int, int, int]] = []
     source_i = check_i = 0
-    for position, event in enumerate(recorded.trace):
-        upto = event.instruction_index
-        sources_due = checks_due = 0
-        while (
-            source_i < len(sources)
-            and sources[source_i].instruction_index <= upto
-        ):
-            sources_due += 1
-            source_i += 1
-        while (
-            check_i < len(checks)
-            and checks[check_i].instruction_index <= upto
-        ):
-            checks_due += 1
-            check_i += 1
-        if sources_due or checks_due:
-            boundaries.append((position, sources_due, checks_due))
-    upto = recorded.instruction_count
-    final_sources = final_checks = 0
-    while (
-        source_i < len(sources)
-        and sources[source_i].instruction_index <= upto
-    ):
-        final_sources += 1
-        source_i += 1
-    while check_i < len(checks) and checks[check_i].instruction_index <= upto:
-        final_checks += 1
-        check_i += 1
+    # Before each event, and finally at the run's instruction count,
+    # everything not yet due with an index up to that point falls due.
+    uptos = [event.instruction_index for event in recorded.trace]
+    uptos.append(recorded.instruction_count)
+    for position, upto in enumerate(uptos):
+        if upto < source_keys[source_i] and upto < check_keys[check_i]:
+            continue
+        source_next = bisect_right(source_keys, upto, source_i)
+        check_next = bisect_right(check_keys, upto, check_i)
+        boundaries.append(
+            (position, source_next - source_i, check_next - check_i)
+        )
+        source_i, check_i = source_next, check_next
+    final = (0, 0, 0)
+    if boundaries and boundaries[-1][0] == len(recorded.trace):
+        final = boundaries.pop()
     return ReplayPlan(
         sources=sources,
         checks=checks,
         boundaries=tuple(boundaries),
-        final_sources=final_sources,
-        final_checks=final_checks,
+        final_sources=final[1],
+        final_checks=final[2],
     )
 
 
@@ -155,38 +159,24 @@ def replay_with_provenance(
     from repro.core.provenance import ProvenanceTracker
 
     tracker = ProvenanceTracker(config)
-    sources = sorted(recorded.sources, key=lambda s: s.instruction_index)
-    order = {id(check): i for i, check in enumerate(recorded.sink_checks)}
-    checks = sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
-    outcomes: Dict[int, frozenset] = {}
-    source_i = check_i = 0
-
-    def drain(upto_index: int) -> None:
-        nonlocal source_i, check_i
-        while (
-            source_i < len(sources)
-            and sources[source_i].instruction_index <= upto_index
-        ):
-            source = sources[source_i]
-            tracker.taint_source(
-                source.source_name, source.address_range, pid=source.pid
-            )
-            source_i += 1
-        while (
-            check_i < len(checks)
-            and checks[check_i].instruction_index <= upto_index
-        ):
-            check = checks[check_i]
-            outcomes[order[id(check)]] = tracker.check(
-                check.address_range, pid=check.pid, sink_name=check.sink_name
-            )
-            check_i += 1
-
-    for event in recorded.trace:
-        drain(event.instruction_index)
-        tracker.observe(event)
-    drain(recorded.instruction_count)
-    return outcomes
+    checks = recorded.sink_checks
+    # The plan orders checks by a stable sort on instruction index; the
+    # same sort of positions maps each outcome back to its check.
+    order = sorted(
+        range(len(checks)), key=lambda i: checks[i].instruction_index
+    )
+    outcomes = _walk_plan(
+        recorded,
+        replay_plan_for(recorded),
+        tracker.observe_columns,
+        lambda source: tracker.taint_source(
+            source.source_name, source.address_range, pid=source.pid
+        ),
+        lambda check: tracker.check(
+            check.address_range, pid=check.pid, sink_name=check.sink_name
+        ),
+    )
+    return dict(zip(order, outcomes))
 
 
 def replay(
@@ -210,51 +200,45 @@ def replay(
         telemetry=telemetry,
     )
     result = ReplayResult(config=config, stats=tracker.stats)
-    taint_source = tracker.taint_source
-    check_taint = tracker.check
-
-    def judge(check) -> SinkOutcome:
-        return SinkOutcome(
-            sink_name=check.sink_name,
-            channel=check.channel,
-            instruction_index=check.instruction_index,
-            tainted=check_taint(check.address_range, pid=check.pid),
-            pid=check.pid,
-        )
-
-    _walk_plan(
-        tracker,
+    result.sink_outcomes = _walk_plan(
         recorded,
         replay_plan_for(recorded),
-        lambda source: taint_source(source.address_range, pid=source.pid),
-        judge,
-        result.sink_outcomes,
+        tracker.observe_columns,
+        lambda source: tracker.taint_source(
+            source.address_range, pid=source.pid
+        ),
+        lambda check: SinkOutcome.of(
+            check, tracker.check(check.address_range, pid=check.pid)
+        ),
     )
     return result
 
 
 def _walk_plan(
-    tracker: PIFTTracker,
     recorded: RecordedRun,
     plan: ReplayPlan,
+    observe: Callable,
     register: Callable,
     judge: Callable,
-    outcomes: List[SinkOutcome],
-) -> None:
-    """Replay ``recorded`` through ``tracker`` along ``plan``.
+) -> list:
+    """Replay ``recorded`` along ``plan``; returns ``judge``'s results.
 
-    Event segments between boundaries run through the column path; at
-    each boundary the due sources go to ``register`` and the due checks
-    to ``judge``, whose outcomes are appended to ``outcomes``.
+    This is the one replay schedule: the event segment before each
+    boundary goes to ``observe(columns, lo, hi)`` over the trace's
+    cached column encoding, then the boundary's due sources go to
+    ``register`` and its due checks to ``judge``, in plan order.  The
+    last segment always ends at ``len(columns)``, before the final
+    boundary.
     """
     sources = plan.sources
     checks = plan.checks
     columns = recorded.trace.columns()
+    outcomes = []
     position = source_i = check_i = 0
     final = ((len(columns), plan.final_sources, plan.final_checks),)
     for boundary, sources_due, checks_due in plan.boundaries + final:
         if boundary > position:
-            tracker.observe_columns(columns, position, boundary)
+            observe(columns, position, boundary)
             position = boundary
         for source in sources[source_i:source_i + sources_due]:
             register(source)
@@ -262,6 +246,7 @@ def _walk_plan(
         for check in checks[check_i:check_i + checks_due]:
             outcomes.append(judge(check))
         check_i += checks_due
+    return outcomes
 
 
 def source_colour(source) -> str:
@@ -292,31 +277,21 @@ def replay_coloured(
     plan = replay_plan_for(recorded)
     for source in plan.sources:
         tracker.colours.register(source_colour(source))
-    taint_source = tracker.taint_source
-    check_mask = tracker.check_mask
-    names_for = tracker.colours.names_for
 
     def judge(check) -> SinkOutcome:
-        mask = check_mask(check.address_range, pid=check.pid)
-        return SinkOutcome(
-            sink_name=check.sink_name,
-            channel=check.channel,
-            instruction_index=check.instruction_index,
-            tainted=bool(mask),
-            pid=check.pid,
-            colours=names_for(mask),
-        )
+        mask = tracker.check_mask(check.address_range, pid=check.pid)
+        colours = tracker.colours.names_for(mask)
+        return SinkOutcome.of(check, bool(mask), colours)
 
-    _walk_plan(
-        tracker,
+    result.sink_outcomes = _walk_plan(
         recorded,
         plan,
-        lambda source: taint_source(
+        tracker.observe_columns,
+        lambda source: tracker.taint_source(
             source.address_range,
             pid=source.pid,
             colour=source_colour(source),
         ),
         judge,
-        result.sink_outcomes,
     )
     return result

@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 from repro.core.colours import ColourSpace
 from repro.core.config import BufferConfig, OverflowPolicy, PIFTConfig
 from repro.core.events import AccessKind, EventColumns, MemoryAccess
-from repro.core.ranges import AddressRange, check_bounds
+from repro.core.ranges import AddressRange
 from repro.core.tracker import ColourTracker, PIFTTracker, TrackerStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -727,21 +727,14 @@ def _pack(fifo: Deque[list]) -> List[list]:
 def _unpack(rows: List[list]) -> Tuple[Deque[list], int]:
     """Inverse of :func:`_pack`: one slice over new columns, and its depth.
 
-    Bounds are checked as :class:`AddressRange` checks them, with the
-    same ``ValueError``, so a corrupted row is refused, not queued.
+    Rows are taken as they are: a snapshot from outside the process is
+    checked first (:func:`repro.serve.shard.validate_snapshot`).
     """
     if not rows:
         return deque(), 0
-    starts = [int(row[1]) for row in rows]
-    ends = [int(row[2]) for row in rows]
-    for start, end in zip(starts, ends):
-        check_bounds(start, end)
+    kinds, starts, ends, indices, pids = map(list, zip(*rows))
+    load = AccessKind.LOAD.value
     columns = EventColumns(
-        None,
-        [AccessKind(kind) is AccessKind.LOAD for kind, *_ in rows],
-        starts,
-        ends,
-        [int(row[3]) for row in rows],
-        [int(row[4]) for row in rows],
+        None, [kind == load for kind in kinds], starts, ends, indices, pids
     )
     return deque([[columns, 0, len(rows)]]), len(rows)

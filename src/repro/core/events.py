@@ -120,9 +120,9 @@ class EventColumns:
     the column path builds no :class:`AddressRange` per event.
 
     ``events`` may be passed as ``None`` by a producer that has only the
-    columns (the ``repro serve`` wire decoder, a restored buffer
-    snapshot): the :class:`MemoryAccess` objects are then built on first
-    access to :attr:`events`, which only a per-event consumer (a
+    columns (:func:`decode_columns`, a restored buffer snapshot): the
+    :class:`MemoryAccess` objects are then built on first access to
+    :attr:`events`, which only a per-event consumer (a
     telemetry shadow, a fault injector) ever makes.
     """
 
@@ -199,6 +199,122 @@ class EventColumns:
         return len(self.indices)
 
 
+# -- the column codec: one encoding of an event slice for ``events``
+# frames, tracefiles and suite artifacts, and one validating decoder.
+
+#: The integer columns beside the ``l``/``s`` ``kinds`` string.
+_INT_COLUMNS = ("starts", "sizes", "indices", "pids")
+
+#: Every integer must fit the int64 column arrays the tracker's
+#: vectorised kernel builds; an address range must end inside it too.
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+class ColumnFormatError(ValueError):
+    """An encoded event body the codec refuses; the message names the
+    first problem.  Each boundary re-raises it as its own error."""
+
+
+def encode_columns(
+    columns: EventColumns, lo: int = 0, hi: Optional[int] = None
+) -> dict:
+    """The ``kinds``/``starts``/``sizes``/``indices``/``pids`` encoding
+    of ``columns[lo:hi]``."""
+    starts = columns.starts[lo:hi]
+    return {
+        "kinds": "".join(
+            ["l" if is_load else "s" for is_load in columns.is_loads[lo:hi]]
+        ),
+        "starts": starts,
+        "sizes": [
+            end - start + 1 for start, end in zip(starts, columns.ends[lo:hi])
+        ],
+        "indices": columns.indices[lo:hi],
+        "pids": columns.pids[lo:hi],
+    }
+
+
+def check_int_column(name: str, column: object) -> None:
+    """Refuse ``column`` unless it is a list of JSON integers, checked
+    in bulk by exact type, so ``true`` and ``1.0`` are refused."""
+    if type(column) is not list:
+        raise ColumnFormatError(f"'{name}' is not an array")
+    if column and set(map(type, column)) != {int}:
+        raise ColumnFormatError(f"'{name}' holds a non-integer entry")
+
+
+_KIND_NAMES = {
+    int: "an integer", bool: "a boolean", str: "a string",
+    list: "an array", dict: "an object",
+}
+
+
+def typed_field(row: object, name: str, kind: type, default=None):
+    """``row[name]`` when ``row`` is an object and the value has exactly
+    type ``kind`` (``default`` when absent); else
+    :class:`ColumnFormatError`.  ``type``, not ``int()``, so that null,
+    strings, floats and booleans are refused instead of coerced."""
+    if type(row) is not dict:
+        raise ColumnFormatError(f"expected an object, got {row!r:.60}")
+    value = row.get(name, default)
+    if type(value) is not kind:
+        raise ColumnFormatError(
+            f"field '{name}' is not {_KIND_NAMES[kind]}: {value!r:.60}"
+        )
+    return value
+
+
+def row_range(row: dict) -> AddressRange:
+    """The ``start``/``size`` pair of a source or sink-check row as a
+    range that ends inside int64; else :class:`ColumnFormatError`."""
+    start, size = typed_field(row, "start", int), typed_field(row, "size", int)
+    if start < 0 or size < 1 or start + size - 1 > INT64_MAX:
+        raise ColumnFormatError(f"no valid range at {start}, size {size}")
+    return AddressRange(start, start + size - 1)
+
+
+def decode_columns(body: dict) -> EventColumns:
+    """The :class:`EventColumns` (``events`` left ``None``) of an
+    :func:`encode_columns` body, which is checked whole before anything
+    is built; raises :class:`ColumnFormatError`."""
+    try:
+        kinds = body["kinds"]
+        columns = [body[name] for name in _INT_COLUMNS]
+    except KeyError as error:
+        raise ColumnFormatError(f"missing {error}") from error
+    if type(kinds) is not str:
+        raise ColumnFormatError("'kinds' is not a string")
+    for name, column in zip(_INT_COLUMNS, columns):
+        check_int_column(name, column)
+        if len(column) != len(kinds):
+            raise ColumnFormatError("columns disagree on length")
+    starts, sizes, indices, pids = columns
+    if kinds:
+        if kinds.count("l") + kinds.count("s") != len(kinds):
+            raise ColumnFormatError(
+                "'kinds' holds a character other than 'l'/'s'"
+            )
+        if min(sizes) < 1:
+            raise ColumnFormatError("holds a size < 1")
+        if min(starts) < 0:
+            raise ColumnFormatError("holds a start < 0")
+        if max(starts) + max(sizes) - 1 > INT64_MAX:
+            raise ColumnFormatError("holds a range beyond 64 bits")
+        for name, column in (("indices", indices), ("pids", pids)):
+            if min(column) < INT64_MIN or max(column) > INT64_MAX:
+                raise ColumnFormatError(
+                    f"'{name}' holds an entry beyond 64 bits"
+                )
+    return EventColumns(
+        None,
+        list(map("l".__eq__, kinds)),
+        starts,
+        [start + size - 1 for start, size in zip(starts, sizes)],
+        indices,
+        pids,
+    )
+
+
 class EventTrace:
     """A materialised sequence of memory events plus the total instruction count.
 
@@ -221,6 +337,15 @@ class EventTrace:
                 self._retired[event.pid] = event.instruction_index + 1
         self._floor = instruction_count
         self._columns: Optional[EventColumns] = None
+
+    @classmethod
+    def from_columns(
+        cls, columns: EventColumns, instruction_count: int = 0
+    ) -> "EventTrace":
+        """A trace over decoded columns, which become its column cache."""
+        trace = cls(columns.events, instruction_count)
+        trace._columns = columns
+        return trace
 
     @property
     def instruction_count(self) -> int:

@@ -38,7 +38,12 @@ from typing import Dict, List, Optional
 
 from repro.core.config import OverflowPolicy, PIFTConfig
 from repro.core.tracker import KernelCounters
-from repro.serve.shard import ShardError, ShardKey, TrackerShard
+from repro.serve.shard import (
+    ShardError,
+    ShardKey,
+    TrackerShard,
+    validate_snapshot,
+)
 
 
 class ShardWorker:
@@ -303,14 +308,16 @@ class ShardRouter:
     def restore_shard(
         self, snapshot: dict, worker_id: Optional[int] = None
     ) -> int:
-        """Revive a drained shard (optionally on a named worker)."""
-        key: ShardKey = (
-            str(snapshot.get("device")), int(snapshot.get("pid", 0))
-        )
+        """Revive a drained shard (optionally on a named worker); a bad
+        snapshot is refused before anything is registered."""
+        key = validate_snapshot(snapshot, self.coloured)
         if key in self.shards:
             raise ShardError(f"shard {key[0]}/{key[1]} is already live")
         shard = self._build_shard(key)
-        shard.restore(snapshot)
+        try:
+            shard.restore(snapshot)
+        except (TypeError, AttributeError) as error:
+            raise ShardError(f"malformed snapshot: {error}") from error
         self.shards[key] = shard
         gate = asyncio.Event()
         # Re-derive the gate from the restored FIFO depth: the snapshot

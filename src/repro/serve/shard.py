@@ -29,8 +29,8 @@ from typing import Iterable, List, Optional, Tuple, Union
 from repro.core.buffered import BufferedPIFT
 from repro.core.colours import ColourSpace
 from repro.core.config import OverflowPolicy, PIFTConfig
-from repro.core.events import EventColumns, MemoryAccess
-from repro.core.ranges import AddressRange
+from repro.core.events import INT64_MAX, INT64_MIN, EventColumns, MemoryAccess
+from repro.core.ranges import AddressRange, check_bounds
 
 #: One shard key: the (device_id, pid) pair the router hashes on.
 ShardKey = Tuple[str, int]
@@ -40,6 +40,60 @@ SHARD_SNAPSHOT_VERSION = 1
 
 class ShardError(RuntimeError):
     """A shard operation that cannot be honoured (bad snapshot, ...)."""
+
+
+def validate_snapshot(snapshot: object, coloured: bool) -> ShardKey:
+    """The shard key of a :meth:`TrackerShard.snapshot` payload, after
+    exact-type checks (no ``int()`` coercion) of its version and colour
+    mode, device and pid, buffered and tracker objects, FIFO and spill
+    rows, and counters.  Raises :class:`ShardError`, or for an
+    impossible queued range the ``ValueError`` of :func:`check_bounds`.
+    """
+    if type(snapshot) is not dict:
+        raise ShardError("snapshot is not an object")
+    if snapshot.get("version") != SHARD_SNAPSHOT_VERSION:
+        raise ShardError(
+            f"shard snapshot version {snapshot.get('version')!r}, "
+            f"expected {SHARD_SNAPSHOT_VERSION}"
+        )
+    if snapshot.get("coloured") is not coloured:
+        raise ShardError(
+            "snapshot colour mode does not match this daemon "
+            f"(snapshot coloured={snapshot.get('coloured')!r}, "
+            f"daemon coloured={coloured})"
+        )
+    buffered = snapshot.get("buffered")
+    counters = snapshot.get("counters", {})
+    fields = {
+        "device": (snapshot.get("device"), str),
+        "pid": (snapshot.get("pid"), int),
+        "counters": (counters, dict),
+        "buffered": (buffered, dict),
+        "tracker": (type(buffered) is dict and buffered.get("tracker"), dict),
+    }
+    for name, (value, kind) in fields.items():
+        if type(value) is not kind:
+            raise ShardError(
+                f"snapshot '{name}' is not {kind.__name__}: {value!r:.60}"
+            )
+    if set(map(type, counters.values())) - {int}:
+        raise ShardError("snapshot counters are not all integers")
+    for name in ("queue", "spill"):
+        rows = buffered.get(name)
+        if type(rows) is not list:
+            raise ShardError(f"snapshot '{name}' is not list: {rows!r:.60}")
+        for row in rows:
+            if (
+                type(row) is not list or len(row) != 5
+                or row[0] not in ("load", "store")
+                or set(map(type, row[1:])) != {int}
+                or min(row[1:]) < INT64_MIN or max(row[1:]) > INT64_MAX
+            ):
+                raise ShardError(
+                    f"snapshot '{name}' row is malformed: {row!r:.60}"
+                )
+            check_bounds(row[1], row[2])
+    return snapshot["device"], snapshot["pid"]
 
 
 class TrackerShard:
@@ -201,25 +255,15 @@ class TrackerShard:
 
     def restore(self, snapshot: dict) -> None:
         """Adopt a :meth:`snapshot` taken from a same-shaped shard."""
-        if snapshot.get("version") != SHARD_SNAPSHOT_VERSION:
+        key = validate_snapshot(snapshot, self.coloured)
+        if key != self.key:
             raise ShardError(
-                f"shard snapshot version {snapshot.get('version')!r}, "
-                f"expected {SHARD_SNAPSHOT_VERSION}"
-            )
-        if bool(snapshot.get("coloured")) != self.coloured:
-            raise ShardError(
-                "snapshot colour mode does not match this daemon "
-                f"(snapshot coloured={snapshot.get('coloured')}, "
-                f"daemon coloured={self.coloured})"
-            )
-        if (snapshot.get("device"), int(snapshot.get("pid", -1))) != self.key:
-            raise ShardError(
-                f"snapshot is for shard {snapshot.get('device')}/"
-                f"{snapshot.get('pid')}, not {self.key[0]}/{self.key[1]}"
+                f"snapshot is for shard {key[0]}/{key[1]}, "
+                f"not {self.key[0]}/{self.key[1]}"
             )
         self.buffered.restore(snapshot["buffered"])
         counters = snapshot.get("counters", {})
-        self.events_ingested = int(counters.get("events_ingested", 0))
-        self.checks_answered = int(counters.get("checks_answered", 0))
-        self.sources_registered = int(counters.get("sources_registered", 0))
-        self.restores = int(counters.get("restores", 0)) + 1
+        self.events_ingested = counters.get("events_ingested", 0)
+        self.checks_answered = counters.get("checks_answered", 0)
+        self.sources_registered = counters.get("sources_registered", 0)
+        self.restores = counters.get("restores", 0) + 1

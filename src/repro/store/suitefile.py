@@ -4,8 +4,10 @@ The :mod:`repro.analysis.tracefile` format persists *one* recorded run;
 the artifact store persists *suites* — the list of
 :class:`~repro.analysis.accuracy.AppRun` a recording pass produces —
 because that is the unit every sweep cell consumes.  The document reuses
-the tracefile event encoding (same ``FORMAT_VERSION``, so a trace-format
-bump invalidates store entries too, by design).
+the tracefile run encoding and its checks (same ``FORMAT_VERSION``, so
+a trace-format bump invalidates store entries too, by design).  Both
+readers decode entries through one function and raise
+:class:`~repro.analysis.tracefile.TraceFormatError` on the same inputs.
 
 Byte determinism matters here: two processes racing to record the same
 suite must produce *identical* payload bytes so the atomic-replace write
@@ -28,6 +30,7 @@ from repro.analysis.tracefile import (
     decode_recorded_run,
     encode_recorded_run,
 )
+from repro.core.events import ColumnFormatError, typed_field
 
 SUITE_FORMAT = "pift-suite"
 
@@ -60,11 +63,9 @@ def load_suite_bytes(payload: bytes) -> List:
     structural problem — the store treats that exactly like a checksum
     mismatch (quarantine + re-record).
     """
-    from repro.analysis.accuracy import AppRun
-
     try:
         document = json.loads(gzip.decompress(payload).decode("utf-8"))
-    except (OSError, ValueError) as error:
+    except (OSError, EOFError, ValueError) as error:
         raise TraceFormatError(f"unreadable suite payload: {error}") from error
     if not isinstance(document, dict) or document.get("format") != SUITE_FORMAT:
         raise TraceFormatError("payload is not a pift-suite document")
@@ -73,17 +74,25 @@ def load_suite_bytes(payload: bytes) -> List:
             f"suite payload has version {document.get('version')}, "
             f"expected {FORMAT_VERSION}"
         )
+    runs = document.get("runs")
+    if type(runs) is not list:
+        raise TraceFormatError("suite payload 'runs' is not an array")
+    return [_decode_entry(entry) for entry in runs]
+
+
+def _decode_entry(entry: object):
+    """One ``runs`` entry as an ``AppRun``; :class:`TraceFormatError`
+    names what is wrong with it."""
+    from repro.analysis.accuracy import AppRun
+
     try:
-        return [
-            AppRun(
-                name=entry["name"],
-                recorded=decode_recorded_run(entry["run"]),
-                leaks=entry["leaks"],
-                category=entry.get("category", ""),
-            )
-            for entry in document["runs"]
-        ]
-    except (KeyError, TypeError) as error:
+        return AppRun(
+            name=typed_field(entry, "name", str),
+            recorded=decode_recorded_run(typed_field(entry, "run", dict)),
+            leaks=typed_field(entry, "leaks", bool),
+            category=typed_field(entry, "category", str, ""),
+        )
+    except (ColumnFormatError, TraceFormatError) as error:
         raise TraceFormatError(f"malformed suite entry: {error}") from error
 
 
@@ -195,8 +204,6 @@ def iter_suite_runs(source, chunk_size: int = 1 << 16) -> Iterator:
     order) is only detectable once the iterator reaches the document
     tail.
     """
-    from repro.analysis.accuracy import AppRun
-
     close_file = False
     if isinstance(source, (str, os.PathLike)):
         fileobj = open(source, "rb")
@@ -219,17 +226,11 @@ def iter_suite_runs(source, chunk_size: int = 1 << 16) -> Iterator:
             while True:
                 try:
                     entry = json.loads(scanner.take_object())
-                    run = AppRun(
-                        name=entry["name"],
-                        recorded=decode_recorded_run(entry["run"]),
-                        leaks=entry["leaks"],
-                        category=entry.get("category", ""),
-                    )
-                except (KeyError, TypeError, ValueError) as error:
+                except ValueError as error:
                     raise TraceFormatError(
                         f"malformed suite entry: {error}"
                     ) from error
-                yield run
+                yield _decode_entry(entry)
                 separator = scanner.take(1)
                 if separator == "]":
                     break

@@ -257,7 +257,7 @@ def write_v2(run: RecordedRun, path: Path) -> None:
     document = {
         "format": tracefile.FORMAT_NAME,
         "version": 2,
-        "events": tracefile._encode_events(run.trace),
+        "events": tracefile.encode_recorded_run(run)["events"],
         "sources": [
             {
                 "start": s.address_range.start,

@@ -16,7 +16,7 @@ import pytest
 from repro.analysis.replay import replay
 from repro.android.device import RecordedRun, SinkCheck, SourceRegistration
 from repro.core.config import OverflowPolicy, PIFTConfig
-from repro.core.events import EventTrace, load, store
+from repro.core.events import EventColumns, EventTrace, load, store
 from repro.core.ranges import AddressRange
 from repro.serve import protocol
 from repro.serve.client import (
@@ -140,7 +140,9 @@ class TestHandshakeAndErrors:
                     unix_path=daemon.path
                 )
                 writer.write(protocol.encode_frame(
-                    protocol.events_frame([load(0x10, 0x13, 1)])
+                    protocol.events_frame(
+                        EventColumns.from_events([load(0x10, 0x13, 1)])
+                    )
                 ))
                 await writer.drain()
                 reply = protocol.decode_frame(await reader.readline())
@@ -182,9 +184,9 @@ class TestHostileFrames:
         self, tmp_path
     ):
         recorded = make_run(pids=(0, 5))
-        bad = protocol.events_frame(
+        bad = protocol.events_frame(EventColumns.from_events(
             [load(0x1000, 0x1003, 1), store(0x8000, 0x8003, 2, pid=5)]
-        )
+        ))
         bad["starts"][1] = None  # the pid-0 group alone would be valid
 
         async def scenario():
@@ -273,9 +275,25 @@ class TestHostileFrames:
         assert stats["checks_answered"] == len(want)
 
     def test_corrupted_snapshot_row_is_refused_on_restore(self, tmp_path):
-        """A drained snapshot whose queue holds a row with ``end <
-        start`` fails ``restore`` with an error frame; the intact
+        """Each corrupted copy of a drained snapshot — a queue row with
+        ``end < start`` or a string start, a null pid, a null tracker,
+        null tracker states — fails ``restore`` with an error frame
+        naming the problem, and the connection stays up; the intact
         snapshot then restores."""
+        def bad_row(snapshot, row):
+            snapshot["buffered"]["queue"].append(row)
+
+        cases = [
+            (lambda s: bad_row(s, ["store", 0x20, 0x10, 99, 0]), "precedes"),
+            (lambda s: bad_row(s, ["store", "12", 0x20, 99, 0]),
+             "'queue' row is malformed"),
+            (lambda s: s.update(pid=None), "'pid' is not int"),
+            (lambda s: s["buffered"].update(tracker=None),
+             "'tracker' is not dict"),
+            (lambda s: s["buffered"]["tracker"].update(states=None),
+             "malformed snapshot"),
+        ]
+
         async def scenario():
             async with Daemon(tmp_path) as daemon:
                 client = await DeviceClient.connect(
@@ -284,12 +302,11 @@ class TestHostileFrames:
                 await client.stream_run(make_run())
                 admin = await AdminClient.connect(unix_path=daemon.path)
                 snapshot = await admin.drain("dev-a", 0)
-                corrupted = copy.deepcopy(snapshot)
-                corrupted["buffered"]["queue"].append(
-                    ["store", 0x20, 0x10, 99, 0]
-                )
-                with pytest.raises(ServeClientError, match="precedes"):
-                    await admin.restore(corrupted)
+                for corrupt, reason in cases:
+                    corrupted = copy.deepcopy(snapshot)
+                    corrupt(corrupted)
+                    with pytest.raises(ServeClientError, match=reason):
+                        await admin.restore(corrupted)
                 worker = await admin.restore(snapshot)
                 await admin.close()
                 await client.end()

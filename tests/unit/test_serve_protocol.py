@@ -7,6 +7,7 @@ streaming loaders the fleet client feeds on: the incremental
 """
 
 import gzip
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,12 @@ from hypothesis import strategies as st
 
 from repro.analysis.accuracy import AppRun
 from repro.analysis.replay import replay, replay_plan_for
-from repro.analysis.tracefile import FORMAT_VERSION, TraceFormatError
+from repro.analysis.tracefile import (
+    FORMAT_VERSION,
+    TraceFormatError,
+    load_recorded_run,
+    save_recorded_run,
+)
 from repro.android.device import RecordedRun, SinkCheck, SourceRegistration
 from repro.core.config import PIFTConfig
 from repro.core.events import (
@@ -36,6 +42,48 @@ from repro.store.suitefile import (
 )
 
 CONFIG = PIFTConfig(5, 2)
+
+
+def events_frame(events):
+    """An ``events`` frame over a list of events."""
+    return protocol.events_frame(EventColumns.from_events(events))
+
+
+#: Hostile ``events`` bodies as ``(column, position, value, reason)``:
+#: a ``None`` position replaces the whole column (deletes it when the
+#: value is ``None`` too), and a position one past the end appends.
+BAD_EVENT_COLUMNS = [
+    ("sizes", None, None, "missing 'sizes'"),
+    ("indices", 2, 9, "length"),
+    ("kinds", None, ["l", "s"], "'kinds' is not a string"),
+    ("kinds", None, "lx", "other than 'l'/'s'"),
+    ("pids", None, {"a": 1}, "'pids' is not an array"),
+    ("starts", 0, None, "'starts' holds a non-integer"),
+    ("pids", 1, True, "'pids' holds a non-integer"),
+    ("indices", 0, 1.0, "'indices' holds a non-integer"),
+    ("indices", 0, "1", "'indices' holds a non-integer"),
+    ("sizes", 1, 0, "size < 1"),
+    ("starts", 0, -4, "start < 0"),
+    ("indices", 0, 1 << 64, "beyond 64 bits"),
+    ("starts", 0, (1 << 63) - 2, "range beyond 64 bits"),
+]
+
+
+def corrupt(body, path, value):
+    """Apply one table row inside a JSON object: ``path`` is the keys
+    down to the column, then a list position (or entry key), with
+    ``None`` positions read as :data:`BAD_EVENT_COLUMNS` says."""
+    *parents, key, position = path
+    for parent in parents:
+        body = body[parent]
+    if position is None and value is None:
+        del body[key]
+    elif position is None:
+        body[key] = value
+    elif position == len(body[key]):
+        body[key].append(value)
+    else:
+        body[key][position] = value
 
 
 def decoded_events(frame):
@@ -106,11 +154,11 @@ class TestFrames:
 
     def test_events_frame_round_trip(self):
         events = [load(0x10, 0x13, 1, 0), store(0x20, 0x23, 2, 7)]
-        decoded = decoded_events(protocol.events_frame(events))
+        decoded = decoded_events(events_frame(events))
         assert decoded == events
 
     def test_events_frame_length_mismatch_rejected(self):
-        frame = protocol.events_frame([load(0x10, 0x13, 1, 0)])
+        frame = events_frame([load(0x10, 0x13, 1, 0)])
         frame["pids"] = []
         with pytest.raises(protocol.ProtocolError, match="length"):
             decoded_events(frame)
@@ -120,44 +168,82 @@ class TestFrames:
             load(0x10, 0x13, 1, 3), store(0x20, 0x23, 2, 0),
             store(0x30, 0x33, 4, 3), load(0x40, 0x47, 5, 0),
         ]
-        groups = protocol.decode_events(protocol.events_frame(events))
+        groups = protocol.decode_events(events_frame(events))
         assert [pid for pid, _ in groups] == [3, 0]
         assert [list(columns.events) for _, columns in groups] == [
             [events[0], events[2]], [events[1], events[3]],
         ]
-        assert protocol.decode_events(protocol.events_frame([])) == []
+        assert protocol.decode_events(events_frame([])) == []
 
-    @pytest.mark.parametrize("column, position, value, reason", [
-        ("sizes", None, None, "missing 'sizes'"),
-        ("indices", 2, 9, "length"),
-        ("kinds", None, ["l", "s"], "'kinds' is not a string"),
-        ("kinds", None, "lx", "other than 'l'/'s'"),
-        ("pids", None, {"a": 1}, "'pids' is not an array"),
-        ("starts", 0, None, "'starts' holds a non-integer"),
-        ("pids", 1, True, "'pids' holds a non-integer"),
-        ("indices", 0, 1.0, "'indices' holds a non-integer"),
-        ("indices", 0, "1", "'indices' holds a non-integer"),
-        ("sizes", 1, 0, "size < 1"),
-        ("starts", 0, -4, "start < 0"),
-        ("indices", 0, 1 << 64, "beyond 64 bits"),
-        ("starts", 0, (1 << 63) - 2, "range beyond 64 bits"),
-    ])
+    @pytest.mark.parametrize(
+        "column, position, value, reason", BAD_EVENT_COLUMNS
+    )
     def test_bad_events_frames_rejected_with_a_reason(
         self, column, position, value, reason
     ):
-        frame = protocol.events_frame(
+        frame = events_frame(
             [load(0x10, 0x13, 1, 0), store(0x20, 0x23, 2, 7)]
         )
-        if position is None and value is None:
-            del frame[column]
-        elif position is None:
-            frame[column] = value
-        elif position == len(frame[column]):
-            frame[column].append(value)
-        else:
-            frame[column][position] = value
+        corrupt(frame, (column, position), value)
         with pytest.raises(protocol.ProtocolError) as error:
             protocol.decode_events(frame)
+        assert reason in str(error.value)
+
+    @pytest.mark.parametrize("reader", [
+        "load_recorded_run", "load_suite_bytes", "iter_suite_runs",
+    ])
+    @pytest.mark.parametrize("path, value, reason", [
+        (("events", column, position), value, reason)
+        for column, position, value, reason in BAD_EVENT_COLUMNS
+    ] + [
+        (("events", "index_deltas", 0), 1.5,
+         "'index_deltas' holds a non-integer"),
+        (("events", "index_deltas", 1), True,
+         "'index_deltas' holds a non-integer"),
+        (("sources", 0, "start"), None, "'start' is not an integer"),
+        (("events", None), None, "'events' is not an object"),
+    ])
+    def test_bad_event_bodies_rejected_by_every_file_reader(
+        self, tmp_path, reader, path, value, reason
+    ):
+        """The frame table above, plus cases only a file body has, is
+        refused with a :class:`TraceFormatError` by the tracefile and by
+        both suite readers.  A file stores indices as deltas, so an
+        ``indices`` row corrupts ``index_deltas`` (the same entry at
+        position 0)."""
+        if path[1] == "indices":
+            path = ("events", "index_deltas", path[2])
+            reason = reason.replace("'indices'", "'index_deltas'")
+        recorded = RecordedRun(
+            trace=EventTrace(
+                [load(0x10, 0x13, 1, 0), store(0x20, 0x23, 2, 7)],
+                instruction_count=4,
+            ),
+            sources=[SourceRegistration(AddressRange(0x10, 0x1F), 0, "src")],
+            sink_checks=[SinkCheck(AddressRange(0x20, 0x23), 3, "s", "net")],
+        )
+        if reader == "load_recorded_run":
+            trace_path = save_recorded_run(recorded, tmp_path / "t.gz")
+            with gzip.open(trace_path, "rt") as handle:
+                document = json.load(handle)
+            corrupt(document, path, value)
+            with gzip.open(trace_path, "wt") as handle:
+                json.dump(document, handle)
+            read = lambda: load_recorded_run(trace_path)  # noqa: E731
+        else:
+            document = json.loads(gzip.decompress(dump_suite_bytes(
+                [AppRun("app", recorded, leaks=True)]
+            )))
+            corrupt(document["runs"][0]["run"], path, value)
+            payload = gzip.compress(json.dumps(
+                document, sort_keys=True, separators=(",", ":")
+            ).encode())
+            read = {
+                "load_suite_bytes": lambda: load_suite_bytes(payload),
+                "iter_suite_runs": lambda: list(iter_suite_runs(payload)),
+            }[reader]
+        with pytest.raises(TraceFormatError) as error:
+            read()
         assert reason in str(error.value)
 
     def test_frame_range_rejects_missing_fields(self):
@@ -201,7 +287,7 @@ class TestIntegerColumns:
     @given(wire_events)
     @settings(max_examples=200, deadline=None)
     def test_decode_equals_from_events_per_pid(self, events):
-        line = protocol.encode_frame(protocol.events_frame(events))
+        line = protocol.encode_frame(events_frame(events))
         groups = protocol.decode_events(protocol.decode_frame(line))
         expected = {}
         for event in events:
@@ -252,7 +338,7 @@ class TestIntegerColumns:
                     store(0x1020, 0x1023, index + 3),
                 ]
             index += 40
-        line = protocol.encode_frame(protocol.events_frame(events))
+        line = protocol.encode_frame(events_frame(events))
         shard = TrackerShard(
             ("dev", 0), PIFTConfig(5, 2, vectorized=vectorized),
             capacity=1024, coloured=coloured,

@@ -93,6 +93,23 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "LEAK DETECTED" in out
 
+    def test_analyze_reports_a_bad_tracefile_in_one_line(
+        self, recorded, tmp_path, capsys
+    ):
+        """A body the column decoder refuses exits 2 with one stderr
+        line, not a traceback and not a silently truncated replay."""
+        trace_path = save_recorded_run(recorded, tmp_path / "bad.pift.gz")
+        with gzip.open(trace_path, "rt") as handle:
+            document = json.load(handle)
+        document["events"]["starts"].pop()
+        with gzip.open(trace_path, "wt") as handle:
+            json.dump(document, handle)
+        assert main(["analyze", str(trace_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "columns disagree on length" in captured.err
+
     def test_analyze_respects_untainting_flag(self, tmp_path, capsys):
         trace_path = str(tmp_path / "lg.pift.gz")
         main(["trace", trace_path, "--work", "16"])
