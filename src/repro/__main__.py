@@ -861,18 +861,25 @@ def cmd_fleet(args) -> int:
     if args.limit is not None:
         runs = islice(runs, args.limit)
 
-    report = run_fleet_sync(
-        runs,
-        devices=args.devices,
-        migrate=args.migrate,
-        config=config,
-        chunk=args.chunk,
-        host=args.connect_host,
-        port=args.connect_port,
-        unix_path=args.connect_unix,
-        telemetry=telemetry,
-        **_serve_router_kwargs(args),
-    )
+    from repro.analysis.tracefile import TraceFormatError
+
+    try:
+        # The suite file is decoded lazily, as the devices pull runs.
+        report = run_fleet_sync(
+            runs,
+            devices=args.devices,
+            migrate=args.migrate,
+            config=config,
+            chunk=args.chunk,
+            host=args.connect_host,
+            port=args.connect_port,
+            unix_path=args.connect_unix,
+            telemetry=telemetry,
+            **_serve_router_kwargs(args),
+        )
+    except TraceFormatError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.json:
         payload = {
             "command": "fleet",

@@ -13,13 +13,20 @@ checks interleave, and each segment is fed through
 cached column encoding.  Re-tracking the same run under another
 ``(NI, NT)`` cell reuses both the plan and the columns — record once,
 replay many.
+
+A sweep goes one step further: inside :func:`lane_set`, the first
+:func:`replay` of a run under any of the set's configs replays every
+config at once through the lane kernel (:mod:`repro.core.lanes`), and
+the other configs' calls are answered from its results.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.config import PIFTConfig
 from repro.core.ranges import RangeSet
@@ -126,20 +133,25 @@ def build_replay_plan(recorded: RecordedRun) -> ReplayPlan:
     )
 
 
-def replay_plan_for(recorded: RecordedRun) -> ReplayPlan:
-    """The run's cached plan, rebuilt if its sources, sink checks or
-    trace length changed since last use.
+def _content_key(recorded: RecordedRun) -> tuple:
+    """What a run's derived replay structures depend on.
 
     Sources and checks are frozen records, so the key holds their
     contents: swapping one in place (or editing a deep copy, which
-    carries the cache along) compares unequal, not just a grown list.
+    carries the caches along) compares unequal, not just a grown list.
     """
-    cached = getattr(recorded, "_replay_plan", None)
-    key = (
+    return (
         tuple(recorded.sources),
         tuple(recorded.sink_checks),
         len(recorded.trace),
     )
+
+
+def replay_plan_for(recorded: RecordedRun) -> ReplayPlan:
+    """The run's cached plan, rebuilt if its sources, sink checks or
+    trace length changed since last use (:func:`_content_key`)."""
+    cached = getattr(recorded, "_replay_plan", None)
+    key = _content_key(recorded)
     if cached is None or cached[0] != key:
         recorded._replay_plan = (key, build_replay_plan(recorded))
         cached = recorded._replay_plan
@@ -192,7 +204,21 @@ def replay(
     stream at the instruction indices (and PIDs) they originally occurred
     at; the event segments between them run through the batched column
     path.
+
+    Inside :func:`lane_set`, a call whose ``config`` is in the set, over
+    the default :class:`RangeSet` with no timeline and no telemetry, is
+    answered from the run's lane-parallel replay (:func:`replay_lanes`),
+    which is equal on every stat and verdict.
     """
+    lanes = _ACTIVE_LANES.get()
+    if (
+        lanes is not None
+        and config in lanes.configs
+        and state_factory is RangeSet
+        and not record_timeline
+        and telemetry is None
+    ):
+        return lanes.serve(recorded, config)
     tracker = PIFTTracker(
         config,
         state_factory=state_factory,
@@ -212,6 +238,129 @@ def replay(
         ),
     )
     return result
+
+
+def replay_lanes(recorded: RecordedRun, configs) -> List[ReplayResult]:
+    """Replay ``recorded`` under every config of ``configs`` in one pass.
+
+    ``configs`` is a sequence of :class:`PIFTConfig` (or a prepared
+    :class:`~repro.core.lanes.LaneGrid`); the results come back in its
+    order, each equal to ``replay(recorded, config)`` over the default
+    :class:`RangeSet` on every stat and sink outcome.  The run's atom
+    tables are built on first use and cached on the run.
+    """
+    from repro.core.lanes import LaneGrid, LaneKernel
+
+    grid = configs if isinstance(configs, LaneGrid) else LaneGrid(configs)
+    plan = replay_plan_for(recorded)
+    kernel = LaneKernel(grid, _lane_tables_for(recorded, plan))
+    masks = _walk_plan(
+        recorded, plan, kernel.observe, kernel.register, kernel.judge
+    )
+    # Two shared outcomes per check: clean and tainted.
+    verdicts = [
+        (SinkOutcome.of(check, False), SinkOutcome.of(check, True))
+        for check in plan.checks
+    ]
+    return [
+        ReplayResult(
+            config=config,
+            stats=stats,
+            sink_outcomes=[
+                pair[(mask >> lane) & 1]
+                for pair, mask in zip(verdicts, masks)
+            ],
+        )
+        for lane, (config, stats) in enumerate(
+            zip(grid.configs, kernel.lane_stats())
+        )
+    ]
+
+
+def _lane_tables_for(recorded: RecordedRun, plan: ReplayPlan):
+    """The run's cached :class:`~repro.core.lanes.LaneTables`, rebuilt
+    when :func:`_content_key` changed, like the plan.
+
+    Built on the first lane replay only, never with the plan: single
+    replays do not pay for them."""
+    from repro.core.lanes import LaneTables
+
+    cached = getattr(recorded, "_lane_tables", None)
+    key = _content_key(recorded)
+    if cached is None or cached[0] != key:
+        tables = LaneTables(
+            recorded.trace.columns(), plan.sources, plan.checks
+        )
+        recorded._lane_tables = cached = (key, tables)
+    return cached[1]
+
+
+class LaneSet:
+    """The lane results of one sweep: per run, every config at once.
+
+    Created by :func:`lane_set`.  ``sets`` counts lane replays computed
+    (one per run, recomputed if the run changed) and ``replays`` the
+    :func:`replay` calls answered from them.
+    """
+
+    def __init__(self, configs: Iterable[PIFTConfig]) -> None:
+        ordered = tuple(dict.fromkeys(configs))
+        self.configs = frozenset(ordered)
+        self._grid = None
+        if ordered:
+            from repro.core.lanes import LaneGrid
+
+            self._grid = LaneGrid(ordered)
+        self.sets = 0
+        self.replays = 0
+        #: ``id(run) -> (run, content key, {config: result})``; holding
+        #: the run keeps its id from being reused.
+        self._results: Dict[int, tuple] = {}
+
+    def serve(self, recorded: RecordedRun, config: PIFTConfig) -> ReplayResult:
+        """``config``'s result for ``recorded``: a fresh
+        :class:`ReplayResult` with its own :class:`TrackerStats`."""
+        key = _content_key(recorded)
+        entry = self._results.get(id(recorded))
+        if entry is None or entry[1] != key:
+            results = replay_lanes(recorded, self._grid)
+            entry = (
+                recorded, key, {result.config: result for result in results}
+            )
+            self._results[id(recorded)] = entry
+            self.sets += 1
+        self.replays += 1
+        held = entry[2][config]
+        return ReplayResult(
+            config=config,
+            stats=replace(held.stats, timeline=[]),
+            sink_outcomes=list(held.sink_outcomes),
+        )
+
+    def clear(self) -> None:
+        self._results.clear()
+
+
+_ACTIVE_LANES: ContextVar[Optional[LaneSet]] = ContextVar(
+    "repro_lane_set", default=None
+)
+
+
+@contextmanager
+def lane_set(configs: Iterable[PIFTConfig]) -> Iterator[LaneSet]:
+    """Serve :func:`replay` calls under ``configs`` from lane replays.
+
+    Within the block, a run's first eligible :func:`replay` computes
+    all of ``configs`` for that run; the results are dropped when the
+    block exits, normally or by an exception.
+    """
+    lanes = LaneSet(configs)
+    token = _ACTIVE_LANES.set(lanes)
+    try:
+        yield lanes
+    finally:
+        _ACTIVE_LANES.reset(token)
+        lanes.clear()
 
 
 def _walk_plan(

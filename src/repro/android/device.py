@@ -85,6 +85,13 @@ class RecordedRun:
     def instruction_count(self) -> int:
         return self.trace.instruction_count
 
+    def __getstate__(self) -> dict:
+        # Lane tables (repro.analysis.replay) are derived data as large
+        # as the trace, and sweep workers never use them: do not ship them.
+        state = self.__dict__.copy()
+        state.pop("_lane_tables", None)
+        return state
+
 
 class AndroidDevice:
     """A ready-to-run device. Install app methods, call entry points."""

@@ -62,7 +62,9 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from repro.core.colours import ColourSpace
 from repro.core.config import BufferConfig, OverflowPolicy, PIFTConfig
-from repro.core.events import AccessKind, EventColumns, MemoryAccess
+from repro.core.events import (
+    AccessKind, EventColumns, MemoryAccess, typed_field,
+)
 from repro.core.ranges import AddressRange
 from repro.core.tracker import ColourTracker, PIFTTracker, TrackerStats
 
@@ -94,8 +96,10 @@ class BufferStats:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BufferStats":
-        """Inverse of :meth:`as_dict` (checkpoint restore)."""
-        return cls(**{key: int(value) for key, value in payload.items()})
+        """Inverse of :meth:`as_dict` (checkpoint restore).  Every field
+        must be an exact integer (:func:`~repro.core.events.typed_field`):
+        a string or float is refused, not coerced."""
+        return cls(**{key: typed_field(payload, key, int) for key in payload})
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,15 @@ taint state are both kept per PID.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import vectorized
 from repro.core.colours import ColourRangeSet, ColourSpace
 from repro.core.config import PIFTConfig
-from repro.core.events import EventColumns, EventTrace, MemoryAccess
+from repro.core.events import (
+    EventColumns, EventTrace, MemoryAccess, typed_field,
+)
 from repro.core.ranges import AddressRange, RangeSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -137,24 +139,21 @@ class TrackerStats:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrackerStats":
-        """Inverse of :meth:`as_dict` (checkpoint restore)."""
+        """Inverse of :meth:`as_dict` (checkpoint restore).  Every field
+        must be an exact integer (:func:`~repro.core.events.typed_field`):
+        a string or float is refused, not coerced."""
+        counters = {
+            f.name: typed_field(payload, f.name, int)
+            for f in fields(cls) if f.name != "timeline"
+        }
         return cls(
-            instructions_observed=int(payload["instructions_observed"]),
-            loads_observed=int(payload["loads_observed"]),
-            stores_observed=int(payload["stores_observed"]),
-            tainted_loads=int(payload["tainted_loads"]),
-            taint_operations=int(payload["taint_operations"]),
-            untaint_operations=int(payload["untaint_operations"]),
-            max_tainted_bytes=int(payload["max_tainted_bytes"]),
-            max_range_count=int(payload["max_range_count"]),
+            **counters,
             timeline=[
-                TimelinePoint(
-                    instruction_index=int(p["instruction_index"]),
-                    tainted_bytes=int(p["tainted_bytes"]),
-                    range_count=int(p["range_count"]),
-                    cumulative_operations=int(p["cumulative_operations"]),
-                )
-                for p in payload["timeline"]
+                TimelinePoint(**{
+                    f.name: typed_field(point, f.name, int)
+                    for f in fields(TimelinePoint)
+                })
+                for point in typed_field(payload, "timeline", list)
             ],
         )
 

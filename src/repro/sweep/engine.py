@@ -16,6 +16,9 @@ fire replays through the batched
 :func:`~repro.analysis.replay.replay` instead of the per-event injector
 loop — parity between the two is covered by
 ``tests/unit/test_faults.py`` and ``tests/property/test_batch_parity.py``.
+A serial run goes one step further: its fault-free ``rangeset`` cells
+form one lane set (:func:`~repro.analysis.replay.lane_set`), so each
+recorded run is replayed once for all of them.
 """
 
 from __future__ import annotations
@@ -112,6 +115,11 @@ class SweepResult:
     retries: int = 0
     worker_deaths: int = 0
     worker_restarts: int = 0
+    #: Serial runs only: lane replays computed (one per run of the
+    #: suites, all eligible cells at once) and ``replay`` calls answered
+    #: from them (:func:`repro.analysis.replay.lane_set`).
+    lane_sets: int = 0
+    lane_replays: int = 0
 
     def as_dict(self) -> dict:
         """Deterministic payload only (timings live in :meth:`timings`)."""
@@ -147,7 +155,36 @@ class SweepResult:
             "worker_deaths": self.worker_deaths,
             "worker_restarts": self.worker_restarts,
             "poisoned": len(self.poisoned),
+            "lane_sets": self.lane_sets,
+            "lane_replays": self.lane_replays,
         }
+
+
+def _fault_plan(cell: SweepCell) -> FaultPlan:
+    return FaultPlan(
+        seed=cell.seed, rates=cell.base_rates or FaultRates()
+    ).with_rates(**{cell.site: cell.rate})
+
+
+def _lane_configs(cells: Iterable[SweepCell]) -> List[PIFTConfig]:
+    """The configs of ``cells`` that a lane set can serve: fault-free,
+    over the unbounded ``rangeset`` state, on the vectorized path (so
+    ``--no-vectorized`` keeps the exact per-cell loop), with a window
+    the lane tables take."""
+    from repro.core.vectorized import HAVE_NUMPY
+
+    if not HAVE_NUMPY:
+        return []
+    from repro.core.lanes import MAX_LANE_WINDOW
+
+    return [
+        cell.config
+        for cell in cells
+        if cell.state_spec == "rangeset"
+        and cell.config.vectorized
+        and cell.config.window_size <= MAX_LANE_WINDOW
+        and not _fault_plan(cell).enabled
+    ]
 
 
 def run_cell(
@@ -173,9 +210,7 @@ def run_cell(
     tel = active(telemetry)
     started = time.perf_counter()
     state_factory = resolve_state_factory(cell.state_spec)
-    plan = FaultPlan(
-        seed=cell.seed, rates=cell.base_rates or FaultRates()
-    ).with_rates(**{cell.site: cell.rate})
+    plan = _fault_plan(cell)
     result = CellResult(
         index=cell.index,
         config=cell.config,
@@ -445,6 +480,12 @@ class _EngineInstruments:
         self.resumed = m.counter(
             "sweep.resumed_cells", "cells served from a resume journal"
         )
+        self.lane_sets = m.counter(
+            "sweep.lane_sets", "lane replays computed (one pass per run)"
+        )
+        self.lane_replays = m.counter(
+            "sweep.lane_replays", "replay calls answered from lane replays"
+        )
 
     def observe_cell(self, result: "CellResult") -> None:
         self.cell_duration.observe(result.duration_seconds)
@@ -563,6 +604,7 @@ def run_sweep(
     if pending and (backend is not None or (jobs > 1 and len(pending) > 1)):
         exec_backend = _resolve_backend(backend, jobs, chunksize, backend_options)
     dispatch_stats = None
+    lane_sets = lane_replays = 0
     if exec_backend is not None:
         is_queue = hasattr(exec_backend, "renew_lease_by_pid")
         if is_queue:
@@ -596,8 +638,15 @@ def run_sweep(
             if relay is not None:
                 relay.stop()
     else:
-        for cell in pending:
-            note(run_cell(cell, cache, telemetry=telemetry))
+        from repro.analysis.replay import lane_set
+
+        with lane_set(_lane_configs(pending)) as lanes:
+            for cell in pending:
+                note(run_cell(cell, cache, telemetry=telemetry))
+        lane_sets, lane_replays = lanes.sets, lanes.replays
+        if instruments is not None:
+            instruments.lane_sets.inc(lane_sets)
+            instruments.lane_replays.inc(lane_replays)
     wall = time.perf_counter() - started
     poisoned_dicts: List[dict] = []
     retries = worker_deaths = worker_restarts = 0
@@ -623,4 +672,6 @@ def run_sweep(
         retries=retries,
         worker_deaths=worker_deaths,
         worker_restarts=worker_restarts,
+        lane_sets=lane_sets,
+        lane_replays=lane_replays,
     )

@@ -277,7 +277,8 @@ class TestHostileFrames:
     def test_corrupted_snapshot_row_is_refused_on_restore(self, tmp_path):
         """Each corrupted copy of a drained snapshot — a queue row with
         ``end < start`` or a string start, a null pid, a null tracker,
-        null tracker states — fails ``restore`` with an error frame
+        null tracker states, a string tracker stat, a float buffer
+        stat — fails ``restore`` with an error frame
         naming the problem, and the connection stays up; the intact
         snapshot then restores."""
         def bad_row(snapshot, row):
@@ -292,6 +293,11 @@ class TestHostileFrames:
              "'tracker' is not dict"),
             (lambda s: s["buffered"]["tracker"].update(states=None),
              "malformed snapshot"),
+            (lambda s: s["buffered"]["tracker"]["stats"].update(
+                loads_observed="12"),
+             "field 'loads_observed' is not an integer"),
+            (lambda s: s["buffered"]["stats"].update(max_queue_depth=3.9),
+             "field 'max_queue_depth' is not an integer"),
         ]
 
         async def scenario():

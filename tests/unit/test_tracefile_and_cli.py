@@ -110,6 +110,18 @@ class TestCLI:
         assert captured.err.count("\n") == 1
         assert "columns disagree on length" in captured.err
 
+    def test_fleet_reports_a_bad_suite_file_in_one_line(
+        self, tmp_path, capsys
+    ):
+        """A corrupt suite file is decoded lazily, inside the fleet run;
+        its error still exits 2 with one stderr line."""
+        suite_path = tmp_path / "garbage.gz"
+        suite_path.write_bytes(gzip.compress(b"garbage"))
+        assert main(["fleet", "--suite-file", str(suite_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: truncated suite payload\n"
+
     def test_analyze_respects_untainting_flag(self, tmp_path, capsys):
         trace_path = str(tmp_path / "lg.pift.gz")
         main(["trace", trace_path, "--work", "16"])
